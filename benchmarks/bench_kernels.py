@@ -1,4 +1,4 @@
-"""Compare the compiled kernels with the pure-Python fallbacks.
+"""Compare the compiled min_union kernel with the pure-Python fallback.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -17,28 +17,6 @@ def _time(fn, repeats=5):
         fn()
         samples.append(time.perf_counter() - start)
     return min(samples), statistics.median(samples)
-
-
-def bench_rref():
-    rng = random.Random(1)
-    p = 251
-    cases = [
-        [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        for rows, cols in [(60, 80), (120, 150), (200, 250)]
-    ]
-
-    print("rref_mod_p (p = 251)")
-    for rows in cases:
-        shape = f"{len(rows)}x{len(rows[0])}"
-        compiled = pure = None
-        if kernels.HAVE_COMPILED:
-            compiled, _ = _time(lambda: kernels.compiled.rref_mod_p(rows, p))
-        pure, _ = _time(lambda: _kernels_py.rref_mod_p(rows, p))
-        if compiled is not None:
-            print(f"  {shape:>9}: compiled {compiled * 1e3:8.2f} ms"
-                  f"   pure {pure * 1e3:8.2f} ms   speedup {pure / compiled:5.1f}x")
-        else:
-            print(f"  {shape:>9}: pure {pure * 1e3:8.2f} ms (no compiled backend)")
 
 
 def bench_min_union():
@@ -63,5 +41,4 @@ def bench_min_union():
 
 if __name__ == "__main__":
     print(f"active backend: {kernels.BACKEND}")
-    bench_rref()
     bench_min_union()

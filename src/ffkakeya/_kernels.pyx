@@ -1,74 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: RREF over F_p and the minimum-union configuration search.
+"""Compiled kernel: the minimum-union configuration search.
 
-Contracts match `_kernels_py`; the selection layer in `kernels.py` falls
-back to the pure versions when this module is not built or when masks do
-not fit in 64 bits.
+Its contract matches `_kernels_py`; the selection layer in `kernels.py`
+falls back to the pure version when this module is not built or when
+masks do not fit in 64 bits.
 """
 
 from libc.stdlib cimport free, malloc
-
-
-cdef long long _inv_mod(long long a, long long p):
-    cdef long long result = 1, base = a % p, e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % p
-        base = base * base % p
-        e >>= 1
-    return result
-
-
-def rref_mod_p(rows, long long p):
-    """Reduced row echelon form over F_p; returns (rank, pivot_cols, rref_rows)."""
-    cdef Py_ssize_t nrows = len(rows)
-    cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0
-    cdef Py_ssize_t i, j, col, r, pivot
-    cdef long long inv, f, v
-    cdef long long *mat
-    if nrows == 0 or ncols == 0:
-        return 0, [], [list(row) for row in rows]
-    mat = <long long *> malloc(nrows * ncols * sizeof(long long))
-    if mat == NULL:
-        raise MemoryError()
-    try:
-        for i in range(nrows):
-            row = rows[i]
-            for j in range(ncols):
-                mat[i * ncols + j] = row[j] % p
-        pivot_cols = []
-        r = 0
-        for col in range(ncols):
-            if r == nrows:
-                break
-            pivot = -1
-            for i in range(r, nrows):
-                if mat[i * ncols + col] != 0:
-                    pivot = i
-                    break
-            if pivot < 0:
-                continue
-            if pivot != r:
-                for j in range(ncols):
-                    v = mat[r * ncols + j]
-                    mat[r * ncols + j] = mat[pivot * ncols + j]
-                    mat[pivot * ncols + j] = v
-            inv = _inv_mod(mat[r * ncols + col], p)
-            for j in range(ncols):
-                mat[r * ncols + j] = mat[r * ncols + j] * inv % p
-            for i in range(nrows):
-                if i != r:
-                    f = mat[i * ncols + col]
-                    if f != 0:
-                        for j in range(ncols):
-                            v = mat[i * ncols + j] - f * mat[r * ncols + j] % p
-                            mat[i * ncols + j] = v % p if v >= 0 else (v % p + p) % p
-            pivot_cols.append(col)
-            r += 1
-        out = [[mat[i * ncols + j] for j in range(ncols)] for i in range(nrows)]
-        return r, pivot_cols, out
-    finally:
-        free(mat)
 
 
 def min_union(options):

@@ -1,41 +1,11 @@
-"""Pure-Python reference kernels for the two hot inner loops.
+"""Pure-Python reference kernel for the minimum-union search.
 
-Same contracts as the compiled versions in `_kernels.pyx`; these are the
+Same contract as the compiled version in `_kernels.pyx`; this is the
 fallback selected at import time when the extension is unavailable, and
 the baseline for the kernel benchmark.
 """
 
 from __future__ import annotations
-
-
-def rref_mod_p(rows, p):
-    """Reduced row echelon form over F_p (p prime) with first-nonzero pivoting.
-
-    `rows` is a list of equal-length lists of ints in [0, p).  Returns
-    (rank, pivot_cols, rref_rows) without mutating the input.
-    """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivot_cols = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        row_r = mat[r]
-        for i in range(nrows):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row_r)]
-        pivot_cols.append(col)
-        r += 1
-    return r, pivot_cols, mat
 
 
 def min_union(options):

@@ -22,7 +22,7 @@ from .errors import (
     NotMultipleOfQ,
     SearchSpaceTooLarge,
 )
-from .ffield import FieldElement, FieldSpec, field_for_q
+from .ffield import FieldElement, FieldSpec, field_for_q, prime_power
 from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8
@@ -174,6 +174,7 @@ def theorem_bound(q: int, n: int, ell: int) -> Tuple[Fraction, int]:
         raise DimensionMismatch("n must be >= 2")
     if not 2 <= ell < q:
         raise EllOutOfRange(f"need 2 <= ell < q, got ell={ell}, q={q}")
+    prime_power(q)
     value = Fraction(((q - 1) * q) ** n, ((ell + 1) * q - 2 * ell) ** n)
     return value, math.ceil(value)
 
@@ -194,6 +195,7 @@ def proof_params(q: int, ell: int, k: int) -> ProofParams:
         raise EllOutOfRange(f"need 2 <= ell < q, got ell={ell}, q={q}")
     if k < q or k % q != 0:
         raise NotMultipleOfQ(f"k = {k} must be a positive multiple of q = {q}")
+    prime_power(q)
     D = k * (q - 1) - 1
     M = (ell + 1) * k - 2 * ell * k // q
     assert M >= 1 and D >= 0

@@ -8,6 +8,7 @@ first.  All enumeration and serialization is deterministic in this order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -346,19 +347,22 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:
     raise AssertionError("unreachable: irreducible polynomials of every degree exist")
 
 
+def prime_power(q: int):
+    """(p, m) with q = p^m and p prime; NonPrime if q is not a prime power."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        m, t = 0, q
+        while t % p == 0:
+            t //= p
+            m += 1
+        if t == 1:
+            return p, m
+    raise NonPrime(f"q = {q} is not a prime power")
+
+
 def field_for_q(q: int) -> FieldSpec:
     """F_q for a prime power q, with the default (lex-first) modulus."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise NonPrime(f"q = {q} is not a prime power")
-            return make_field(p, m)
-    raise NonPrime(f"q = {q} is not a prime power")
+    return make_field(*prime_power(q))
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:

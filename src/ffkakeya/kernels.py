@@ -1,4 +1,4 @@
-"""Backend selection: compiled kernels when built, pure Python otherwise.
+"""Backend selection: the compiled kernel when built, pure Python otherwise.
 
 The compiled `min_union` is limited to 64-bit masks; wider masks always
 route to the pure implementation (arbitrary-precision ints).
@@ -17,12 +17,6 @@ except ImportError:  # pragma: no cover - depends on build environment
     HAVE_COMPILED = False
 
 BACKEND = "compiled" if HAVE_COMPILED else "python"
-
-
-def rref_mod_p(rows, p):
-    if HAVE_COMPILED:
-        return compiled.rref_mod_p(rows, p)
-    return pure.rref_mod_p(rows, p)
 
 
 def min_union(options, nbits):

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .brkset import BrkInstance, PerRho, generate_set
-from .errors import BadEll, NotMultipleOfQ, PreconditionFailed
-from .ffield import FieldSpec
+from .brkset import BrkInstance, PerRho, generate_set, proof_params
+from .errors import BadEll, PreconditionFailed
+from .ffield import FieldSpec, field_for_q
 from .mpoly import (
     SparsePoly,
     compositions,
@@ -317,10 +317,7 @@ def check_warmup(q: int, k: int, instance: Optional[BrkInstance] = None, seed: i
     the vanishing system for the generated set."""
     if q <= 2:
         raise PreconditionFailed("q > 2 required")
-    if k < q or k % q != 0:
-        raise NotMultipleOfQ(f"k = {k} must be a positive multiple of q = {q}")
-    from .ffield import field_for_q
-
+    params = proof_params(q, 2, k)
     if instance is None:
         spec = field_for_q(q)
         g = SparsePoly(spec, 1, {(2,): spec.one})
@@ -332,8 +329,7 @@ def check_warmup(q: int, k: int, instance: Optional[BrkInstance] = None, seed: i
         if instance.spec.q != q or instance.n != 2 or instance.ell != 2:
             raise PreconditionFailed("warmup requires a degree-2 instance in F_q^2")
         spec = instance.spec
-    D = k * (q - 1) - 1
-    M = 3 * k - 4 * k // q
+    D, M = params.D, params.M
     S = generate_set(instance)
     lhs = math.comb(M + 1, 2) * len(S)
     rhs = math.comb(D + 2, 2)

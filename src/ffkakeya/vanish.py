@@ -4,8 +4,11 @@ The linear system has one row per (point, derivative order beta with
 |beta| < M) and one column per monomial of degree <= D, in degree-then-lex
 order.  Entry: C(alpha, beta) * a^(alpha - beta), reduced into the field,
 which is the coefficient of c_alpha in the beta-th Hasse derivative at a.
-Row reduction uses plain Gaussian elimination with first-nonzero pivoting;
-prime fields route through the compiled kernel when available.
+Rows are generated lazily, one point at a time, and folded into an
+incremental row-echelon basis that stops reading rows once the rank equals
+the number of columns.  A solution, when one is needed, comes from
+back-substitution through that basis.  Prime fields use inline mod-p
+arithmetic; extension fields go through the FieldSpec operations.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from . import kernels
 from .errors import ArityMismatch, MixedFields, SizeGuard
 from .ffield import FieldElement, FieldSpec
 from .mpoly import SparsePoly, binom_multi, compositions, monomials_upto
@@ -86,73 +88,130 @@ class LinearSystem:
         }
 
 
-def build_system(prob: VanishProblem) -> LinearSystem:
+def _columns(prob: VanishProblem) -> list:
     if prob.unknown_count * prob.constraint_count > _SYSTEM_GUARD:
         raise SizeGuard(
             f"{prob.constraint_count} x {prob.unknown_count} system exceeds guard"
         )
+    return monomials_upto(prob.arity, prob.max_degree)
+
+
+def _system_rows(prob: VanishProblem, cols: list):
+    """Yield ((point, beta), row) point by point, betas in order within a point.
+
+    Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  The
+    binomials are tabulated once per beta and the monomial values a^gamma
+    once per point, so each entry costs one field multiplication.
+    """
     spec = prob.spec
-    cols = monomials_upto(prob.arity, prob.max_degree)
+    ncols = len(cols)
+    col_index = {alpha: j for j, alpha in enumerate(cols)}
     betas = [b for order in range(prob.mult) for b in compositions(prob.arity, order)]
-    rows = []
-    row_index = []
+    # per beta: (column, binomial code, column of alpha - beta) for nonzero binomials
+    tables = []
+    for beta in betas:
+        tab = []
+        for j, alpha in enumerate(cols):
+            bc = spec.from_int(binom_multi(alpha, beta))
+            if bc:
+                gamma = tuple(x - y for x, y in zip(alpha, beta))
+                tab.append((j, bc, col_index[gamma]))
+        tables.append(tab)
+    mul, one = spec.mul, spec.one
     for pt in prob.points:
-        for beta in betas:
-            row = []
-            for alpha in cols:
-                bc = binom_multi(alpha, beta)
-                if bc == 0:
-                    row.append(0)
-                    continue
-                v = spec.from_int(bc)
-                for ai, bi, a in zip(alpha, beta, pt):
-                    if v == 0:
-                        break
-                    v = spec.mul(v, spec.pow_(a, ai - bi))
-                row.append(v)
-            rows.append(row)
-            row_index.append((pt, beta))
-    return LinearSystem(spec, cols, row_index, rows)
+        powers = []
+        for a in pt:
+            pw = [one]
+            for _ in range(prob.max_degree):
+                pw.append(mul(pw[-1], a))
+            powers.append(pw)
+        values = []
+        for gamma in cols:
+            v = one
+            for pw, e in zip(powers, gamma):
+                v = mul(v, pw[e])
+            values.append(v)
+        for beta, tab in zip(betas, tables):
+            row = [0] * ncols
+            for j, bc, k in tab:
+                row[j] = mul(bc, values[k])
+            yield (pt, beta), row
 
 
-def _rref_generic(rows, spec: FieldSpec):
-    """Field-generic RREF on element codes; mirrors the mod-p kernel."""
-    mat = [list(r) for r in rows]
-    nrows, ncols = len(mat), len(mat[0]) if mat else 0
-    pivot_cols = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
+def build_system(prob: VanishProblem) -> LinearSystem:
+    cols = _columns(prob)
+    row_index, rows = [], []
+    for index, row in _system_rows(prob, cols):
+        row_index.append(index)
+        rows.append(row)
+    return LinearSystem(prob.spec, cols, row_index, rows)
+
+
+def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
+    """Fold a stream of rows into a row-echelon basis; stop at full column rank.
+
+    The basis maps each pivot column c to its row's entries from column c
+    on, scaled so that the first is one (all entries before c are zero).
+    Rows after the one that completes the rank are never read.
+    """
+    basis = {}
+    p, prime = spec.p, spec.m == 1
+    add, mul = spec.add, spec.mul
+    for row in rows:
+        off, c = 0, 0  # row holds the entries from column off on
+        while True:
+            while c < ncols and not row[c - off]:
+                c += 1
+            if c == ncols:
+                break
+            piv = basis.get(c)
+            if piv is None:
+                inv = spec.inv(row[c - off])
+                basis[c] = [mul(x, inv) for x in row[c - off:]]
+                break
+            f = row[c - off]
+            if prime:
+                row = [(x - f * y) % p for x, y in zip(row[c - off:], piv)]
+            else:
+                nf = spec.neg(f)
+                row = [add(x, mul(nf, y)) if y else x for x, y in zip(row[c - off:], piv)]
+            off = c
+        if len(basis) == ncols:
             break
-        pivot = next((i for i in range(r, nrows) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = spec.inv(mat[r][col])
-        mat[r] = [spec.mul(x, inv) for x in mat[r]]
-        row_r = mat[r]
-        for i in range(nrows):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(mat[i], row_r)]
-        pivot_cols.append(col)
-        r += 1
-    return r, pivot_cols, mat
+    return basis
 
 
-def _rref(rows, spec: FieldSpec):
-    if not rows:
-        return 0, [], []
-    if spec.m == 1:
-        return kernels.rref_mod_p(rows, spec.p)
-    return _rref_generic(rows, spec)
+def _null_vector(basis: dict, spec: FieldSpec, ncols: int) -> Optional[list]:
+    """The solution with the first free variable one and the others zero.
+
+    None when every column is a pivot.  Pivot variables follow by
+    back-substitution from the last pivot to the first.
+    """
+    free = next((j for j in range(ncols) if j not in basis), None)
+    if free is None:
+        return None
+    solution = [0] * ncols
+    solution[free] = spec.one
+    for c in sorted(basis, reverse=True):
+        acc = 0
+        for k, v in enumerate(basis[c]):
+            if v and solution[c + k]:  # solution[c] itself is still zero
+                acc = spec.add(acc, spec.mul(v, solution[c + k]))
+        solution[c] = spec.neg(acc)
+    return solution
+
+
+def _echelon(prob: VanishProblem):
+    """Columns and the echelon basis of the system, read lazily."""
+    cols = _columns(prob)
+    rows = (row for _, row in _system_rows(prob, cols))
+    return cols, _eliminate(rows, prob.spec, len(cols))
 
 
 def nullspace_trivial(prob: VanishProblem) -> bool:
     """True iff only the zero polynomial solves the system (full column rank)."""
-    system = build_system(prob)
-    rank, _, _ = _rref(system.rows, prob.spec)
-    return rank == len(system.cols)
+    cols, basis = _echelon(prob)
+    return len(basis) == len(cols)
 
 
 def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
@@ -160,24 +219,18 @@ def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
 
     The free variable with the lex-least monomial (in column order) is set
     to one and all other free variables to zero; pivot variables follow
-    from the reduced rows.  Every returned polynomial is re-verified
-    against the multiplicity module.
+    from the echelon rows.  The reduced row echelon form of a row space is
+    unique, so this solution does not depend on row order.  Every returned
+    polynomial is re-verified against the multiplicity module.
     """
-    system = build_system(prob)
     spec = prob.spec
-    rank, pivot_cols, reduced = _rref(system.rows, spec)
-    ncols = len(system.cols)
-    if rank == ncols:
+    cols, basis = _echelon(prob)
+    solution = _null_vector(basis, spec, len(cols))
+    if solution is None:
         return None
-    pivot_set = set(pivot_cols)
-    free = next(j for j in range(ncols) if j not in pivot_set)
-    solution = [0] * ncols
-    solution[free] = spec.one
-    for r, pc in enumerate(pivot_cols):
-        solution[pc] = spec.neg(reduced[r][free])
     poly = SparsePoly(
         spec, prob.arity,
-        {exp: c for exp, c in zip(system.cols, solution) if c},
+        {exp: c for exp, c in zip(cols, solution) if c},
     )
     assert not poly.is_zero()
     assert poly.degree <= prob.max_degree

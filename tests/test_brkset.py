@@ -18,6 +18,7 @@ from ffkakeya.errors import (
     DimensionMismatch,
     EllOutOfRange,
     MixedFields,
+    NonPrime,
     NotMultipleOfQ,
     SearchSpaceTooLarge,
 )
@@ -48,6 +49,11 @@ class TestTheoremBound:
         assert value == Fraction(36, 25)
         assert ceiling == 2
 
+    def test_non_prime_power_rejected(self):
+        for q in (6, 10, 12):
+            with pytest.raises(NonPrime):
+                theorem_bound(q, 2, 2)
+
     def test_ell_out_of_range(self):
         with pytest.raises(EllOutOfRange):
             theorem_bound(3, 2, 3)
@@ -73,6 +79,10 @@ class TestProofParams:
     def test_q5_k5(self):
         pp = proof_params(5, 2, 5)
         assert (pp.D, pp.M) == (19, 11)
+
+    def test_non_prime_power_rejected(self):
+        with pytest.raises(NonPrime):
+            proof_params(6, 2, 6)
 
     def test_k_not_multiple(self):
         with pytest.raises(NotMultipleOfQ):

@@ -28,6 +28,13 @@ def test_bound_ell_out_of_range(capsys):
     assert "EllOutOfRange" in capsys.readouterr().err
 
 
+def test_bound_non_prime_power(capsys):
+    assert main(["bound", "--q", "6", "--n", "2", "--ell", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NonPrime: q = 6 is not a prime power\n"
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

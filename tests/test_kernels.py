@@ -8,23 +8,6 @@ def test_backend_reported():
     assert kernels.HAVE_COMPILED == (kernels.BACKEND == "compiled")
 
 
-def test_rref_known_case():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    rank, pivots, rref = kernels.rref_mod_p(rows, 5)
-    assert rank == 2
-    assert pivots == [0, 1]
-
-
-def test_rref_dispatch_matches_pure():
-    rng = random.Random(41)
-    for _ in range(50):
-        p = rng.choice([2, 3, 5, 7, 251])
-        nrows = rng.randint(0, 8)
-        ncols = rng.randint(1, 8)
-        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-        assert kernels.rref_mod_p(rows, p) == _kernels_py.rref_mod_p(rows, p)
-
-
 def test_min_union_known_case():
     options = [[0b0011, 0b0110], [0b0100, 0b1000]]
     size, idx = kernels.min_union(options, 4)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from ffkakeya.errors import BadEll, NotMultipleOfQ, PreconditionFailed
+from ffkakeya.errors import BadEll, NonPrime, NotMultipleOfQ, PreconditionFailed
 from ffkakeya.mpoly import SparsePoly, compositions
 from ffkakeya.replay import (
     Certificate,
@@ -154,6 +155,21 @@ class TestWarmup:
     def test_k_not_multiple(self):
         with pytest.raises(NotMultipleOfQ):
             check_warmup(3, 4)
+
+    def test_non_prime_power_rejected(self):
+        with pytest.raises(NonPrime):
+            check_warmup(6, 6)
+
+    @pytest.mark.parametrize("q,k,digest", [
+        (3, 3, "06b785a205b6698c6d5f3ddae0f771c60cdec5bb1f6c69af7cef3a5ff6506e7b"),
+        (3, 6, "fd5f7fa89b035870b620daf63199014cedf327e4071a464a3ba293481caf0010"),
+        (3, 9, "7b66fb9429aca57243bc662a3435efb2545dcd651cca8c91350e9c756f22ceb5"),
+        (5, 5, "b80b79ab0c760756a056afd3b5bc3e99bc298f85c34e3e562baa42d474674ab8"),
+    ])
+    def test_certificate_bytes_pinned(self, q, k, digest):
+        # SHA-256 of the canonical certificate bytes; any change to the
+        # vanishing system, the elimination or the parameters shows here
+        assert hashlib.sha256(check_warmup(q, k).to_json_bytes()).hexdigest() == digest
 
 
 class TestWeightedPartition:
