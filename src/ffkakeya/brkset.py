@@ -16,13 +16,14 @@ from typing import Dict, Optional, Tuple
 
 from . import kernels
 from .errors import (
+    ArityMismatch,
     DimensionMismatch,
     EllOutOfRange,
     MixedFields,
     NotMultipleOfQ,
     SearchSpaceTooLarge,
 )
-from .ffield import FieldElement, FieldSpec, field_for_q, prime_power
+from .ffield import FieldElement, FieldSpec, expect_json, field_for_q, prime_power
 from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8
@@ -52,11 +53,14 @@ class PointSet:
     def from_json(cls, doc: dict) -> "PointSet":
         from .ffield import field_from_json
 
-        spec = field_from_json(doc["field"])
-        pts = frozenset(
-            tuple(spec.element_from_json(c) for c in pt) for pt in doc["points"]
-        )
-        return cls(spec, doc["n"], pts)
+        spec = field_from_json(expect_json(doc, dict, "point set")["field"])
+        n = expect_json(doc["n"], int, "n")
+        pts = set()
+        for pt in expect_json(doc["points"], list, "points"):
+            if len(expect_json(pt, list, "point")) != n:
+                raise DimensionMismatch(f"point {pt} has {len(pt)} coordinates, n = {n}")
+            pts.add(tuple(spec.element_from_json(c) for c in pt))
+        return cls(spec, n, frozenset(pts))
 
 
 @dataclass(frozen=True)
@@ -79,14 +83,7 @@ class BrkInstance:
             raise DimensionMismatch("dimension n must be >= 2")
         if not 2 <= self.ell < q:
             raise EllOutOfRange(f"need 2 <= ell < q, got ell={self.ell}, q={q}")
-        if self.g.is_zero():
-            raise ValueError("g must be a nonzero homogeneous form")
-        if self.g.spec != self.spec:
-            raise MixedFields("g over a different field")
-        if self.g.arity != self.n - 1:
-            raise DimensionMismatch(f"g must have arity {self.n - 1}")
-        if any(sum(e) != self.ell for e in self.g.terms):
-            raise ValueError(f"g must be homogeneous of degree {self.ell}")
+        _check_top_form(self.spec, self.n, self.ell, self.g)
         if set(self.per_rho) != set(range(q)):
             raise ValueError("per_rho must have exactly one entry per rho in F_q")
         for pr in self.per_rho.values():
@@ -121,13 +118,37 @@ class BrkInstance:
     def from_json(cls, doc: dict) -> "BrkInstance":
         from .ffield import field_from_json
 
-        spec = field_from_json(doc["field"])
+        spec = field_from_json(expect_json(doc, dict, "instance")["field"])
         per_rho = {}
-        for entry in doc["per_rho"]:
-            rho = spec.element_from_json(entry["rho"])
-            a = tuple(spec.element_from_json(c) for c in entry["a"])
+        for entry in expect_json(doc["per_rho"], list, "per_rho"):
+            rho = spec.element_from_json(expect_json(entry, dict, "per_rho entry")["rho"])
+            if rho in per_rho:
+                raise ValueError(f"per_rho has two entries for rho = {entry['rho']}")
+            a = tuple(spec.element_from_json(c) for c in expect_json(entry["a"], list, "a"))
             per_rho[rho] = PerRho(a, poly_from_json(entry["lower"], spec))
-        return cls(spec, doc["n"], doc["ell"], poly_from_json(doc["g"], spec), per_rho)
+        n = expect_json(doc["n"], int, "n")
+        ell = expect_json(doc["ell"], int, "ell")
+        return cls(spec, n, ell, poly_from_json(doc["g"], spec), per_rho)
+
+
+def _check_top_form(spec: FieldSpec, n: int, ell: int, g: SparsePoly) -> None:
+    if g.is_zero():
+        raise ValueError("g must be a nonzero homogeneous form")
+    if g.spec != spec:
+        raise MixedFields("g over a different field")
+    if g.arity != n - 1:
+        raise DimensionMismatch(f"g must have arity {n - 1}")
+    if any(sum(e) != ell for e in g.terms):
+        raise ValueError(f"g must be homogeneous of degree {ell}")
+
+
+def _surface_points(spec: FieldSpec, a, rho: int, f: SparsePoly):
+    """a + rho*(lam, f(lam)) for every lam in F_q^(n-1), lam in lex order."""
+    add, mul = spec.add, spec.mul
+    for lam in itertools.product(range(spec.q), repeat=len(a) - 1):
+        pt = [add(ai, mul(rho, li)) for ai, li in zip(a, lam)]
+        pt.append(add(a[-1], mul(rho, f.eval_codes(lam))))
+        yield tuple(pt)
 
 
 def generate_set(inst: BrkInstance) -> PointSet:
@@ -142,11 +163,7 @@ def generate_set(inst: BrkInstance) -> PointSet:
         if rho == 0:
             pts.add(pr.a)
             continue
-        grho = inst.g_rho(rho)
-        for lam in itertools.product(range(spec.q), repeat=inst.n - 1):
-            coords = [spec.add(ai, spec.mul(rho, li)) for ai, li in zip(pr.a[:-1], lam)]
-            coords.append(spec.add(pr.a[-1], spec.mul(rho, grho.eval_codes(lam))))
-            pts.add(tuple(coords))
+        pts.update(_surface_points(spec, pr.a, rho, inst.g_rho(rho)))
     return PointSet(spec, inst.n, frozenset(pts))
 
 
@@ -215,29 +232,42 @@ def _point_rank(codes, q: int) -> int:
     return r
 
 
-def _surface_mask(spec, n, ell, g, lower, a, rho) -> int:
-    if rho == 0:
-        return 1 << _point_rank(a, spec.q)
-    grho = g + lower
-    mask = 0
-    for lam in itertools.product(range(spec.q), repeat=n - 1):
-        coords = [spec.add(ai, spec.mul(rho, li)) for ai, li in zip(a[:-1], lam)]
-        coords.append(spec.add(a[-1], spec.mul(rho, grho.eval_codes(lam))))
-        mask |= 1 << _point_rank(coords, spec.q)
-    return mask
+def _lower_parts(spec, n, ell):
+    """Every lower part of degree < ell, coefficients of `monomials_upto`
+    in lex order."""
+    monos = monomials_upto(n - 1, ell - 1)
+    return [
+        SparsePoly(spec, n - 1, dict(zip(monos, coeffs)))
+        for coeffs in itertools.product(range(spec.q), repeat=len(monos))
+    ]
 
 
-def _option_space(spec, n, ell):
-    """Canonical (a, lower) enumeration: a lex-major, then lower coefficients."""
-    lower_monos = monomials_upto(n - 1, ell - 1)
-    a_space = list(itertools.product(range(spec.q), repeat=n))
-    coeff_space = list(itertools.product(range(spec.q), repeat=len(lower_monos)))
-    options = []
-    for a in a_space:
-        for coeffs in coeff_space:
-            lower = SparsePoly(spec, n - 1, dict(zip(lower_monos, coeffs)))
-            options.append((a, lower))
-    return options
+def _distinct_level_masks(spec, g, points, lowers):
+    """Per rho, {surface mask: first option index}, in option order.
+
+    `points` is F_q^n in lex (rank) order.  Option i is (translation
+    points[i // L], lowers[i % L]) with L = len(lowers): a lex-major, then
+    lower coefficients.  The offsets
+    rho*(lam, g_rho(lam)) of each (rho != 0, lower part) are built once;
+    translating them by a is a lookup in the row bit[a][b] = 1 << rank(a+b)
+    of the point-translation table.  The offsets of one surface are
+    distinct points, so the sum of their bits is their union.
+    """
+    q = spec.q
+    offsets = [
+        [[_point_rank(pt, q) for pt in _surface_points(spec, points[0], rho, g + low)]
+         for low in lowers]
+        for rho in range(1, q)
+    ]
+    levels = [{} for _ in range(q)]
+    for ai, a in enumerate(points):
+        row = [1 << _point_rank(map(spec.add, a, b), q) for b in points]
+        base = ai * len(lowers)
+        levels[0].setdefault(row[0], base)  # rho = 0 is the single point a
+        for first, level_offsets in zip(levels[1:], offsets):
+            for li, offs in enumerate(level_offsets):
+                first.setdefault(sum(map(row.__getitem__, offs)), base + li)
+    return levels
 
 
 @dataclass
@@ -263,60 +293,68 @@ def min_brk_search(
     """Smallest |generate_set| over all translation / lower-part choices.
 
     Exhaustive mode is exact (guarded); greedy mode gives an upper bound
-    via marginal-new-points selection with seeded restarts.
+    via marginal-new-points selection with seeded restarts.  Both search
+    each level's distinct surfaces only; a witness names the first option,
+    in canonical order, that gives its surface.
     """
     if g.spec.q != q:
         raise MixedFields(f"g is over F_{g.spec.q}, search requested for F_{q}")
     spec = g.spec
     _, ceiling = theorem_bound(q, n, ell)
-    options = _option_space(spec, n, ell)
-    rho_masks = [
-        [_surface_mask(spec, n, ell, g, lower, a, rho) for a, lower in options]
-        for rho in range(q)
-    ]
+    if g.arity != n - 1:
+        raise ArityMismatch(f"arity {g.arity} vs {n - 1}")
+    _check_top_form(spec, n, ell, g)
+    if mode not in ("exhaustive", "greedy"):
+        raise ValueError(f"unknown search mode {mode!r}")
+    points = list(itertools.product(range(q), repeat=n))
+    lowers = _lower_parts(spec, n, ell)
+    options = [(a, lower) for a in points for lower in lowers]
+    configs = len(options) ** q
+    if mode == "exhaustive" and configs > _EXHAUSTIVE_GUARD:
+        raise SearchSpaceTooLarge(
+            f"{configs} configurations exceed the exhaustive guard; use greedy"
+        )
+
+    levels = _distinct_level_masks(spec, g, points, lowers)
+    rho_masks = [list(level) for level in levels]
+    first_option = [list(level.values()) for level in levels]
+
+    def witness_of(choice):
+        per_rho = {rho: PerRho(*options[first_option[rho][i]]) for rho, i in choice}
+        return BrkInstance(spec, n, ell, g, per_rho)
 
     if mode == "exhaustive":
-        configs = len(options) ** q
-        if configs > _EXHAUSTIVE_GUARD:
-            raise SearchSpaceTooLarge(
-                f"{configs} configurations exceed the exhaustive guard; use greedy"
-            )
         min_size, idx = kernels.min_union(rho_masks, q**n)
-        per_rho = {rho: PerRho(*options[i]) for rho, i in enumerate(idx)}
-        witness = BrkInstance(spec, n, ell, g, per_rho)
+        witness = witness_of(enumerate(idx))
         assert min_size == len(generate_set(witness))
         assert min_size >= ceiling, "theorem bound violated: implementation bug"
         return MinSearchResult("exhaustive", min_size, witness, ceiling, configurations=configs)
 
-    if mode == "greedy":
-        rng = random.Random(seed)
-        best_size = None
-        best_choice = None
-        for _ in range(restarts):
-            order = list(range(q))
-            rng.shuffle(order)
-            acc = 0
-            choice = {}
-            for rho in order:
-                best_i, best_mask = None, None
-                for i, mask in enumerate(rho_masks[rho]):
-                    u = acc | mask
-                    if best_mask is None or u.bit_count() < best_mask.bit_count():
-                        best_i, best_mask = i, u
-                acc = best_mask
-                choice[rho] = best_i
-            size = acc.bit_count()
-            if best_size is None or size < best_size:
-                best_size, best_choice = size, choice
-        per_rho = {rho: PerRho(*options[i]) for rho, i in best_choice.items()}
-        witness = BrkInstance(spec, n, ell, g, per_rho)
-        assert best_size == len(generate_set(witness))
-        assert best_size >= ceiling, "theorem bound violated: implementation bug"
-        return MinSearchResult(
-            "greedy", best_size, witness, ceiling, seed=seed, restarts=restarts
-        )
-
-    raise ValueError(f"unknown search mode {mode!r}")
+    rng = random.Random(seed)
+    best_size = None
+    best_choice = None
+    for _ in range(restarts):
+        order = list(range(q))
+        rng.shuffle(order)
+        acc = 0
+        choice = {}
+        for rho in order:
+            best_i, best_mask = None, None
+            for i, mask in enumerate(rho_masks[rho]):
+                u = acc | mask
+                if best_mask is None or u.bit_count() < best_mask.bit_count():
+                    best_i, best_mask = i, u
+            acc = best_mask
+            choice[rho] = best_i
+        size = acc.bit_count()
+        if best_size is None or size < best_size:
+            best_size, best_choice = size, choice
+    witness = witness_of(best_choice.items())
+    assert best_size == len(generate_set(witness))
+    assert best_size >= ceiling, "theorem bound violated: implementation bug"
+    return MinSearchResult(
+        "greedy", best_size, witness, ceiling, seed=seed, restarts=restarts
+    )
 
 
 # --- Kakeya baseline ---

@@ -14,7 +14,7 @@ import sys
 from . import kernels, selftest
 from .brkset import BrkInstance, PointSet, generate_set, min_brk_search, theorem_bound, verify_brk
 from .errors import FFKakeyaError
-from .ffield import field_for_q
+from .ffield import expect_json, field_for_q
 from .mpoly import poly_from_json, poly_to_json
 from .replay import check_key_lemma, check_proposition, check_warmup
 from .vanish import VanishProblem, find_vanishing_poly
@@ -104,37 +104,35 @@ def _cmd_min_search(args) -> int:
 
 def _cmd_replay(args) -> int:
     seed = _seed(args)
-    params = _load_json(args.params) if args.params else {}
+    params = expect_json(_load_json(args.params), dict, "params") if args.params else {}
+
+    def param(key, default=None):
+        """The --key flag if given, else params[key], else default; an integer."""
+        value = getattr(args, key, None)
+        if value is None:
+            value = params.get(key)
+        return default if value is None else expect_json(value, int, key)
+
     name = args.check
     if name == "warmup":
-        q = args.q if args.q is not None else params.get("q")
-        k = args.k if args.k is not None else params.get("k")
+        q, k = param("q"), param("k")
         if q is None or k is None:
             raise FFKakeyaError("replay warmup requires --q and --k")
         inst = BrkInstance.from_json(params["instance"]) if "instance" in params else None
         cert = check_warmup(q, k, instance=inst, seed=seed)
     elif name == "key-lemma":
-        q = args.q if args.q is not None else params.get("q")
+        q = param("q")
         if q is None:
             raise FFKakeyaError("replay key-lemma requires --q")
-        cert = check_key_lemma(
-            args.trials, field_for_q(q),
-            args.n if args.n is not None else params.get("n", 2),
-            args.k if args.k is not None else params.get("k", 2),
-            seed=seed,
-        )
+        cert = check_key_lemma(args.trials, field_for_q(q), param("n", 2), param("k", 2), seed=seed)
     elif name == "proposition":
-        q = args.q if args.q is not None else params.get("q")
+        q = param("q")
         if q is None or "f" not in params:
             raise FFKakeyaError("replay proposition requires --q and a params file with f")
         spec = field_for_q(q)
         f = poly_from_json(params["f"], spec)
         cert = check_proposition(
-            args.trials, spec,
-            args.n if args.n is not None else params.get("n", 2),
-            params.get("ell", f.degree),
-            args.k if args.k is not None else params.get("k", 1),
-            f, seed=seed,
+            args.trials, spec, param("n", 2), param("ell", f.degree), param("k", 1), f, seed=seed,
         )
     elif name == "derivs-zero":
         if not args.params:
@@ -146,11 +144,13 @@ def _cmd_replay(args) -> int:
         P = poly_from_json(params["P"], spec)
         g = poly_from_json(params["g"], spec)
         curve = {
-            "a": tuple(spec.element_from_json(c) for c in params["a"]),
+            "a": tuple(spec.element_from_json(c) for c in expect_json(params["a"], list, "a")),
             "rho": spec.element_from_json(params["rho"]),
             "g": g,
         }
-        cert = check_derivs_zero(P, curve, params["params"])
+        inner = expect_json(params["params"], dict, "params")
+        checked = {key: expect_json(inner[key], int, key) for key in ("k", "D", "M")}
+        cert = check_derivs_zero(P, curve, checked)
     else:
         raise FFKakeyaError(f"unknown check {name!r}")
     _emit(cert.to_json(), args.out)

@@ -257,11 +257,11 @@ class FieldSpec:
         return list(self.decode(code))
 
     def element_from_json(self, doc) -> int:
-        if isinstance(doc, int):
+        if isinstance(expect_json(doc, (int, list), "field element"), int):
             if self.m == 1:
                 return doc % self.p
             return self.from_int(doc)
-        coeffs = tuple(c % self.p for c in doc)
+        coeffs = tuple(expect_json(c, int, "element coefficient") % self.p for c in doc)
         if len(coeffs) != self.m:
             raise ValueError(f"element repr must have length {self.m}")
         return self.encode(coeffs)
@@ -383,5 +383,26 @@ def all_elements(spec: FieldSpec):
     return [FieldElement(spec, c) for c in range(spec.q)]
 
 
+_JSON_TYPES = {dict: (dict,), list: (list, tuple), int: (int,)}
+_JSON_NAMES = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def expect_json(value, kinds, what: str):
+    """`value` if its JSON type is one of `kinds` (dict, list, int or a tuple
+    of them), else a one-line ValueError.  A bool is not an integer here."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, bool) or not any(isinstance(value, _JSON_TYPES[k]) for k in kinds):
+        names = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise ValueError(f"{what} must be {names}, got {type(value).__name__}")
+    return value
+
+
 def field_from_json(doc: dict) -> FieldSpec:
-    return make_field(doc["p"], doc.get("m", 1), doc.get("modulus"))
+    expect_json(doc, dict, "field")
+    modulus = doc.get("modulus")
+    if modulus is not None:
+        for c in expect_json(modulus, list, "modulus"):
+            expect_json(c, int, "modulus coefficient")
+    return make_field(
+        expect_json(doc["p"], int, "field p"), expect_json(doc.get("m", 1), int, "field m"), modulus
+    )

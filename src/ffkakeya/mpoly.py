@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import ArityMismatch, BadEll, MixedFields, ZeroPolynomial
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldElement, FieldSpec, expect_json
 
 _EXP_GUARD = 1 << 20
 
@@ -365,13 +365,18 @@ def poly_to_json(P: SparsePoly) -> dict:
 def poly_from_json(doc: dict, spec: FieldSpec = None) -> SparsePoly:
     from .ffield import field_from_json
 
+    expect_json(doc, dict, "polynomial")
     if spec is None:
         spec = field_from_json(doc["field"])
-    arity = doc["arity"]
+    arity = expect_json(doc["arity"], int, "arity")
     terms = {}
-    for t in doc["terms"]:
-        exp = tuple(t["exp"])
+    for t in expect_json(doc["terms"], list, "terms"):
+        expect_json(t, dict, "term")
+        exp = tuple(expect_json(t["exp"], list, "term exp"))
         if len(exp) != arity:
             raise ArityMismatch(f"term exponent {exp} has wrong arity")
+        for e in exp:
+            if expect_json(e, int, "exponent") < 0:
+                raise ValueError(f"term exponent {exp} has a negative entry")
         terms[exp] = spec.element_from_json(t["coeff"])
     return SparsePoly(spec, arity, terms)

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .brkset import BrkInstance, PerRho, generate_set, proof_params
-from .errors import BadEll, PreconditionFailed
+from .brkset import BrkInstance, PerRho, _surface_points, generate_set, proof_params
+from .errors import BadEll, DimensionMismatch, PreconditionFailed
 from .ffield import FieldSpec, field_for_q
 from .mpoly import (
     SparsePoly,
@@ -168,6 +168,8 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
     g = curve["g"]
     k, D, M = params["k"], params["D"], params["M"]
     ell = g.degree
+    if len(a) != n:
+        raise DimensionMismatch(f"curve translation a must have {n} coordinates")
     if P.is_zero():
         raise PreconditionFailed("P must be nonzero")
     if not P.degree <= D:
@@ -180,14 +182,7 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
                 f"inequality ell*(D-w) < (M-w)*q fails at w = {w}: "
                 f"{ell * (D - w)} < {(M - w) * spec.q} is false"
             )
-    import itertools
-
-    curve_points = set()
-    for lam in itertools.product(range(spec.q), repeat=n - 1):
-        coords = [spec.add(ai, spec.mul(rho, li)) for ai, li in zip(a[:-1], lam)]
-        coords.append(spec.add(a[-1], spec.mul(rho, g.eval_codes(lam))))
-        curve_points.add(tuple(coords))
-    chk = vanishes_with_mult(P, sorted(curve_points), M)
+    chk = vanishes_with_mult(P, sorted(set(_surface_points(spec, a, rho, g))), M)
     if not chk.ok:
         raise PreconditionFailed(
             f"P does not vanish on the curve with multiplicity {M}: "

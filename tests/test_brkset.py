@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from ffkakeya import brkset
 from ffkakeya.brkset import (
     BrkInstance,
     PerRho,
@@ -15,6 +17,7 @@ from ffkakeya.brkset import (
     verify_brk,
 )
 from ffkakeya.errors import (
+    ArityMismatch,
     DimensionMismatch,
     EllOutOfRange,
     MixedFields,
@@ -22,8 +25,8 @@ from ffkakeya.errors import (
     NotMultipleOfQ,
     SearchSpaceTooLarge,
 )
-from ffkakeya.ffield import make_field
-from ffkakeya.mpoly import SparsePoly
+from ffkakeya.ffield import field_for_q, make_field
+from ffkakeya.mpoly import SparsePoly, monomials_upto
 
 
 def _square_instance(spec, lowers=None, translations=None):
@@ -216,10 +219,98 @@ class TestMinSearch:
         with pytest.raises(MixedFields):
             min_brk_search(5, 2, 2, g)
 
-    def test_unknown_mode(self, F3):
+    @pytest.fixture()
+    def no_masks(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("masks built before the inputs were checked")
+
+        monkeypatch.setattr(brkset, "_distinct_level_masks", fail)
+
+    def test_unknown_mode(self, F3, no_masks):
         g = SparsePoly(F3, 1, {(2,): F3.one})
         with pytest.raises(ValueError):
             min_brk_search(3, 2, 2, g, mode="annealing")
+
+    @pytest.mark.parametrize("q,arity,terms,exc,match", [
+        (9, 1, {(3,): 1}, ValueError, "^g must be homogeneous of degree 2$"),
+        (5, 1, {(2,): 1, (1,): 1}, ValueError, "^g must be homogeneous of degree 2$"),
+        (5, 1, {}, ValueError, "^g must be a nonzero homogeneous form$"),
+        (5, 2, {(2, 0): 1}, ArityMismatch, "^arity 2 vs 1$"),
+    ])
+    def test_bad_g_fails_before_masks(self, no_masks, q, arity, terms, exc, match):
+        g = SparsePoly.from_int_terms(field_for_q(q), arity, terms)
+        for mode in ("greedy", "exhaustive"):
+            with pytest.raises(exc, match=match):
+                min_brk_search(q, 2, 2, g, mode=mode)
+
+
+def _oracle_surface_mask(spec, graph, a, rho):
+    """One option's surface, point by point through the field operations.
+
+    `graph` lists (lam, g_rho(lam)) for every lam."""
+    q = spec.q
+    if rho == 0:
+        return 1 << brkset._point_rank(a, q)
+    mask = 0
+    for lam, value in graph:
+        coords = [spec.add(ai, spec.mul(rho, li)) for ai, li in zip(a[:-1], lam)]
+        coords.append(spec.add(a[-1], spec.mul(rho, value)))
+        mask |= 1 << brkset._point_rank(coords, q)
+    return mask
+
+
+def _oracle_level_masks(spec, n, ell, g):
+    """Slow oracle: every option's mask rebuilt, first index kept per mask."""
+    monos = monomials_upto(n - 1, ell - 1)
+    lams = list(itertools.product(range(spec.q), repeat=n - 1))
+    graphs = []
+    for coeffs in itertools.product(range(spec.q), repeat=len(monos)):
+        grho = g + SparsePoly(spec, n - 1, dict(zip(monos, coeffs)))
+        graphs.append([(lam, grho.eval_codes(lam)) for lam in lams])
+    options = [(a, graph) for a in itertools.product(range(spec.q), repeat=n) for graph in graphs]
+    levels = []
+    for rho in range(spec.q):
+        first = {}
+        for i, (a, graph) in enumerate(options):
+            first.setdefault(_oracle_surface_mask(spec, graph, a, rho), i)
+        levels.append(first)
+    return levels
+
+
+class TestSurfaceMasks:
+    @pytest.mark.parametrize("q,n,ell,g_terms", [
+        (3, 2, 2, {(2,): 1}),
+        (4, 2, 2, {(2,): 1}),
+        (4, 2, 3, {(3,): 1}),
+        (5, 2, 2, {(2,): 1}),
+        (5, 2, 3, {(3,): 2}),
+        (7, 2, 2, {(2,): 3}),
+        (8, 2, 2, {(2,): 1}),
+        (9, 2, 2, {(2,): 1}),
+        (3, 3, 2, {(2, 0): 1, (1, 1): 2}),
+    ])
+    def test_fast_masks_match_oracle(self, q, n, ell, g_terms):
+        spec = field_for_q(q)
+        g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
+        points = list(itertools.product(range(q), repeat=n))
+        fast = brkset._distinct_level_masks(spec, g, points, brkset._lower_parts(spec, n, ell))
+        oracle = _oracle_level_masks(spec, n, ell, g)
+        # same distinct masks, same first option index, same order
+        assert [list(level.items()) for level in fast] == [
+            list(level.items()) for level in oracle
+        ]
+
+    def test_distinct_surfaces_are_the_origin_options(self):
+        # rho = 0: one point per translation a.  rho != 0: shifting lambda
+        # turns a translation into a lower-part change, so the 25 options
+        # with a = 0 already give every distinct surface, in order.
+        spec = field_for_q(5)
+        g = SparsePoly(spec, 1, {(2,): spec.one})
+        points = list(itertools.product(range(5), repeat=2))
+        levels = brkset._distinct_level_masks(spec, g, points, brkset._lower_parts(spec, 2, 2))
+        assert list(levels[0].values()) == [25 * i for i in range(25)]
+        for level in levels[1:]:
+            assert list(level.values()) == list(range(25))
 
 
 class TestKakeya:

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ffkakeya
 from ffkakeya.brkset import BrkInstance, PerRho, generate_set
 from ffkakeya.cli import main
-from ffkakeya.ffield import make_field
+from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import SparsePoly, poly_to_json
 
 
@@ -89,6 +94,124 @@ def test_min_search_exhaustive_q3(tmp_path, F3, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["min_size"] == 4
     assert doc["configurations"] == 81**3
+
+
+def _g_file(tmp_path, q, ell):
+    spec = field_for_q(q)
+    path = tmp_path / f"g_q{q}_ell{ell}.json"
+    path.write_text(json.dumps(poly_to_json(SparsePoly(spec, 1, {(ell,): spec.one}))))
+    return str(path)
+
+
+@pytest.mark.parametrize("q,ell,mode,digest", [
+    (3, 2, "exhaustive", "261aec75b813448ce97e08fd1aad28113b2aaa3528c767b7beaeeb0af29c164a"),
+    (5, 2, "greedy", "7df6134b65bb723b90f9c00ae361ba5db2577732f759fd416b62fd52fe57d37c"),
+    (7, 2, "greedy", "69a9a4dd5b24c2c74159cbf833571b834670c64ac77182bd15f0fba32ec57177"),
+    (9, 2, "greedy", "823943fe4c1af0f34f1d38aac0c2ecb77afc868fef315c2b6456826b0697227c"),
+    (4, 3, "greedy", "ca1f2c17532d7e68eddc8575e588195872ab4c1514751015cd0a6c8b3eb21e70"),
+    # characteristic 2
+    (4, 2, "greedy", "fb0b54d18526188b59c1230914b0ae9601f33b4f2d71e2516b41376f40b0754c"),
+    (8, 2, "greedy", "ce8ce39015a4cff6ce10a612afaecb70d49f461f9385874ed297864d6a7c3477"),
+])
+def test_min_search_output_pinned(tmp_path, q, ell, mode, digest):
+    # SHA-256 of the min-search JSON at seed 0: the witness rule (first
+    # option of each surface, lex-least optimum / first strict improvement)
+    # and the whole output format show here
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), "--seed", "0", "min-search", "--q", str(q), "--n", "2",
+                 "--ell", str(ell), "--g", _g_file(tmp_path, q, ell), "--mode", mode]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q,mode", [(5, "greedy"), (3, "exhaustive")])
+def test_min_search_deterministic_across_processes(tmp_path, q, mode):
+    src = os.path.dirname(os.path.dirname(ffkakeya.__file__))
+    argv = [sys.executable, "-m", "ffkakeya.cli", "--seed", "4", "min-search", "--q", str(q),
+            "--n", "2", "--ell", "2", "--g", _g_file(tmp_path, q, 2), "--mode", mode]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["mode"] == mode
+
+
+def test_min_search_wrong_degree_g(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(poly_to_json(SparsePoly(field_for_q(9), 1, {(3,): 1}))))
+    assert main(["min-search", "--q", "9", "--n", "2", "--ell", "2", "--g", str(g),
+                 "--mode", "greedy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad input: g must be homogeneous of degree 2\n"
+
+
+def _malformed(tmp_path, inst, key, value):
+    doc = {"points": generate_set(inst).to_json(), "per_rho": inst.to_json(),
+           "terms": poly_to_json(inst.g)}[key]
+    doc[key] = value
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value,argv,message", [
+    ("points", 5, ["vanish", "--degree", "2", "--mult", "1", "--set"],
+     "error: bad input: points must be a list, got int\n"),
+    ("points", [[1, 2, 3]], ["vanish", "--degree", "2", "--mult", "1", "--set"],
+     "error: DimensionMismatch: point [1, 2, 3] has 3 coordinates, n = 2\n"),
+    ("per_rho", 7, ["build-set", "--instance"],
+     "error: bad input: per_rho must be a list, got int\n"),
+    ("terms", 5, ["min-search", "--q", "5", "--n", "2", "--ell", "2", "--g"],
+     "error: bad input: terms must be a list, got int\n"),
+])
+def test_malformed_json_is_usage_error(tmp_path, capsys, square_instance_file,
+                                       key, value, argv, message):
+    # valid JSON of the wrong shape is an input error (exit 2, one line),
+    # never a traceback with the "verification failed" code
+    assert main(argv + [_malformed(tmp_path, square_instance_file[1], key, value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"q": "3", "k": 3}, "error: bad input: q must be an integer, got str\n"),
+    ({"q": 3, "k": [3]}, "error: bad input: k must be an integer, got list\n"),
+    ([3, 3], "error: bad input: params must be an object, got list\n"),
+])
+def test_replay_malformed_params(tmp_path, capsys, params, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["replay", "--check", "warmup", "--params", str(path)]) == 2
+    assert capsys.readouterr().err == message
+
+
+def _derivs_zero_params(tmp_path, F7, **changes):
+    par = SparsePoly.from_int_terms(F7, 2, {(0, 1): 1, (2, 0): -1})
+    doc = {"field": F7.to_json(), "P": poly_to_json(par * par),
+           "g": poly_to_json(SparsePoly(F7, 1, {(2,): F7.one})),
+           "a": [0, 0], "rho": 1, "params": {"k": 2, "D": 4, "M": 2}}
+    doc.update(changes)
+    path = tmp_path / "derivs.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_replay_derivs_zero(tmp_path, F7, capsys):
+    assert main(["replay", "--check", "derivs-zero", "--params",
+                 _derivs_zero_params(tmp_path, F7)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"a": [0, 0, 0]}, "error: DimensionMismatch: curve translation a must have 2 coordinates\n"),
+    ({"params": {"k": "2", "D": 4, "M": 2}}, "error: bad input: k must be an integer, got str\n"),
+])
+def test_replay_derivs_zero_malformed(tmp_path, F7, capsys, changes, message):
+    assert main(["replay", "--check", "derivs-zero", "--params",
+                 _derivs_zero_params(tmp_path, F7, **changes)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_replay_warmup(capsys):
