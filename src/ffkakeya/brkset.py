@@ -306,6 +306,8 @@ def min_brk_search(
     _check_top_form(spec, n, ell, g)
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown search mode {mode!r}")
+    if mode == "greedy" and restarts < 1:
+        raise ValueError("restarts must be >= 1")
     points = list(itertools.product(range(q), repeat=n))
     lowers = _lower_parts(spec, n, ell)
     options = [(a, lower) for a in points for lower in lowers]

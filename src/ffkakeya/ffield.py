@@ -4,6 +4,12 @@ Extension fields are represented in the power basis of F_p[t]/(modulus).
 Every element is identified with an integer *code* in [0, q): the rank of
 its coefficient vector (c_0, ..., c_{m-1}) in lexicographic order, zero
 first.  All enumeration and serialization is deterministic in this order.
+
+Every extension field, up to q = 2^16, has one representation: exp/log
+tables over a primitive element, plus Zech logarithms for odd p, each with
+O(q) entries and built in O(q m) when the field is made.  An operation is
+a few list lookups; the polynomial helpers below serve only irreducibility
+testing and the table build.
 """
 
 from __future__ import annotations
@@ -20,9 +26,6 @@ from .errors import (
 )
 
 MAX_Q = 1 << 16
-
-# Full q x q add/mul tables are only built for small extension fields.
-_TABLE_LIMIT = 256
 
 
 def _is_prime(p: int) -> bool:
@@ -76,6 +79,29 @@ def _poly_divmod_p(a, b, p):
     return _poly_trim(tuple(q)), _poly_trim(tuple(a))
 
 
+def _poly_powmod_p(base, e: int, modulus, p: int):
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _poly_divmod_p(_poly_mulmod_p(result, base, p), modulus, p)[1]
+        base = _poly_divmod_p(_poly_mulmod_p(base, base, p), modulus, p)[1]
+        e >>= 1
+    return result
+
+
+def _prime_factors(n: int):
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def _monic_polys(degree: int, p: int):
     """All monic polynomials of the given degree, lex order on low coefficients."""
     for rank in range(p**degree):
@@ -103,13 +129,16 @@ class FieldSpec:
     """Description of F_q = F_p[t]/(modulus); immutable after construction.
 
     Code-level arithmetic (`add`, `mul`, ...) operates on integer element
-    codes and is the workhorse for all polynomial computations.
+    codes and is the workhorse for all polynomial computations.  Prime
+    fields compute mod p; extension fields look up powers of a primitive
+    element g: `_exp[k]` is the code of g^k for k in [0, 2(q-1)), so a sum
+    of two logs needs no reduction, `_log` inverts it on nonzero codes
+    (`None` at zero), and for odd p `_zech[k]` is the log of 1 + g^k
+    (`None` where 1 + g^k = 0).  In characteristic 2 the code bits are the
+    coefficients, so addition is XOR.
     """
 
-    __slots__ = (
-        "p", "m", "q", "modulus",
-        "_pow_basis", "_add_table", "_mul_table", "_inv_table",
-    )
+    __slots__ = ("p", "m", "q", "modulus", "zero", "one", "_pow_basis", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus):
         self.p = p
@@ -117,11 +146,10 @@ class FieldSpec:
         self.q = p**m
         self.modulus = modulus  # ascending coeffs, None for m == 1
         self._pow_basis = tuple(p ** (m - 1 - i) for i in range(m))
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
-        if m > 1 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self.zero = 0
+        self.one = self._pow_basis[0]  # c_0 = 1 is the top digit of the code
+        if m > 1:
+            self._build_log_tables()
 
     # -- code <-> coefficient vector --
 
@@ -141,15 +169,23 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode(tuple((x + y) % self.p for x, y in zip(ca, cb)))
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = a (1 + b/a); a negative index wraps, as the exponent does
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        return self.encode(tuple((-x) % self.p for x in self.decode(a)))
+        if self.p == 2 or not a:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -157,72 +193,78 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        pa = _poly_trim(self.decode(a))
-        pb = _poly_trim(self.decode(b))
-        prod = _poly_mulmod_p(pa, pb, self.p)
-        _, rem = _poly_divmod_p(prod, self.modulus, self.p)
-        rem = rem + (0,) * (self.m - len(rem))
-        return self.encode(rem)
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow_(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow_(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero("inverse of zero")
+            return self.one if e == 0 else 0
+        if self.m == 1:
+            return pow(a, e, self.p)
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def from_int(self, value: int) -> int:
         """Code of the image of an integer under Z -> F_p -> F_q."""
-        v = value % self.p
-        if self.m == 1:
-            return v
-        return self.encode((v,) + (0,) * (self.m - 1))
+        return value % self.p * self.one
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return self.from_int(1)
-
-    def _build_tables(self):
+    def _build_log_tables(self):
         q = self.q
-        self._add_table = [
-            [self.encode(tuple((x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))))
-             for b in range(q)]
-            for a in range(q)
-        ]
-        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == self.one:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        g = self._first_primitive()
+        times_g = self._times_table(g)
+        exp = [0] * (2 * (q - 1))
+        log = [None] * q
+        x = self.one
+        for k in range(q - 1):
+            exp[k] = exp[k + q - 1] = x
+            log[x] = k
+            x = times_g[x]
+        self._exp, self._log, self._zech = exp, log, None
+        if self.p != 2:
+            # 1 + x adds one to the top digit of x's code; mod q drops its carry
+            self._zech = [log[(x + self.one) % q] for x in exp[: q - 1]]
+
+    def _first_primitive(self):
+        """Coefficients of the first element, in code order, of order q - 1."""
+        exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
+        for code in range(1, self.q):
+            g = _poly_trim(self.decode(code))
+            if all(_poly_powmod_p(g, e, self.modulus, self.p) != (1,) for e in exponents):
+                return g
+        raise AssertionError("unreachable: the multiplicative group of F_q is cyclic")
+
+    def _times_table(self, g):
+        """Codes of g x for every code x, in O(q m).
+
+        Multiplication by g is F_p-linear: coefficient i of g x is
+        sum_j x_j (t^j g)_i mod p.  For each i its values over all codes
+        come digit by digit (c_0 is the most significant digit of a code).
+        """
+        p, m = self.p, self.m
+        columns = []
+        for j in range(m):
+            _, rem = _poly_divmod_p(_poly_mulmod_p((0,) * j + (1,), g, p), self.modulus, p)
+            columns.append(rem + (0,) * (m - len(rem)))
+        table = [0] * self.q
+        for i, weight in enumerate(self._pow_basis):
+            values = [0]
+            for column in columns:
+                step = [[(v + c * column[i]) % p for c in range(p)] for v in range(p)]
+                values = [w for v in values for w in step[v]]
+            table = [t + weight * v for t, v in zip(table, values)]
+        return table
 
     # -- identity / serialization --
 
@@ -258,8 +300,6 @@ class FieldSpec:
 
     def element_from_json(self, doc) -> int:
         if isinstance(expect_json(doc, (int, list), "field element"), int):
-            if self.m == 1:
-                return doc % self.p
             return self.from_int(doc)
         coeffs = tuple(expect_json(c, int, "element coefficient") % self.p for c in doc)
         if len(coeffs) != self.m:

@@ -231,6 +231,11 @@ class TestMinSearch:
         with pytest.raises(ValueError):
             min_brk_search(3, 2, 2, g, mode="annealing")
 
+    def test_greedy_needs_a_restart(self, F3, no_masks):
+        g = SparsePoly(F3, 1, {(2,): F3.one})
+        with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+            min_brk_search(3, 2, 2, g, mode="greedy", restarts=0)
+
     @pytest.mark.parametrize("q,arity,terms,exc,match", [
         (9, 1, {(3,): 1}, ValueError, "^g must be homogeneous of degree 2$"),
         (5, 1, {(2,): 1, (1,): 1}, ValueError, "^g must be homogeneous of degree 2$"),

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import ffkakeya
-from ffkakeya.brkset import BrkInstance, PerRho, generate_set
+from ffkakeya.brkset import BrkInstance, PerRho, PointSet, generate_set
 from ffkakeya.cli import main
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import SparsePoly, poly_to_json
@@ -123,17 +124,67 @@ def test_min_search_output_pinned(tmp_path, q, ell, mode, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("q,mode", [(5, "greedy"), (3, "exhaustive")])
-def test_min_search_deterministic_across_processes(tmp_path, q, mode):
+def _stdouts_under_hash_seeds(args):
+    """stdout of `ffkakeya <args>` in fresh processes with PYTHONHASHSEED 1 and 2."""
     src = os.path.dirname(os.path.dirname(ffkakeya.__file__))
-    argv = [sys.executable, "-m", "ffkakeya.cli", "--seed", "4", "min-search", "--q", str(q),
-            "--n", "2", "--ell", "2", "--g", _g_file(tmp_path, q, 2), "--mode", mode]
     outs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+        outs.append(subprocess.run([sys.executable, "-m", "ffkakeya.cli", *args], env=env,
+                                   capture_output=True, check=True).stdout)
+    return outs
+
+
+@pytest.mark.parametrize("q,mode", [(5, "greedy"), (3, "exhaustive")])
+def test_min_search_deterministic_across_processes(tmp_path, q, mode):
+    outs = _stdouts_under_hash_seeds(["--seed", "4", "min-search", "--q", str(q), "--n", "2",
+                                      "--ell", "2", "--g", _g_file(tmp_path, q, 2),
+                                      "--mode", mode])
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["mode"] == mode
+
+
+def _random_set_file(tmp_path, q, count):
+    """`count` seeded random points of F_q^2, written as a point-set document."""
+    rng = random.Random(q)
+    points = set()
+    while len(points) < count:
+        points.add((rng.randrange(q), rng.randrange(q)))
+    path = tmp_path / f"set_q{q}.json"
+    path.write_text(json.dumps(PointSet(field_for_q(q), 2, frozenset(points)).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["vanish", "--degree", "10", "--mult", "2"],
+    ["replay", "--check", "warmup", "--q", "3", "--k", "3"],
+    ["--seed", "2", "replay", "--check", "key-lemma", "--q", "5", "--n", "2", "--k", "2",
+     "--trials", "25"],
+], ids=["vanish-q256", "warmup", "key-lemma"])
+def test_deterministic_across_processes(tmp_path, args):
+    if args[0] == "vanish":
+        args = args + ["--set", _random_set_file(tmp_path, 256, 16)]
+    outs = _stdouts_under_hash_seeds(args)
+    assert outs[0] == outs[1]
+    assert outs[0].strip() != b"none"
+
+
+@pytest.mark.parametrize("q,count,degree,digest", [
+    (4, 5, 5, "030ebe91edb56ed4154f5d95bba3d06e82767c95841da40226f92a86671ac2e3"),
+    (8, 8, 6, "99dc6ac4ea8f1c611152b79c5825e0c40ea34d780f88e88701b9fd4fc29f6855"),
+    (9, 9, 6, "fdb61e775f6e3e696f78515666bc464aa746b115ffe99d29a709ba642bcb3b7c"),
+    (256, 16, 10, "c5feaf6bc610f1fd6573085ceedd18566721ef3721ce74e9e91681c04daf6751"),
+    (729, 11, 7, "62a59803710a8774d031c7b41c27beb562c8e345453035e10dcd89c955ad977a"),
+])
+def test_vanish_output_pinned(tmp_path, q, count, degree, digest):
+    # SHA-256 of the vanish JSON (multiplicity 2): the canonical solution is
+    # fixed by the field arithmetic, so any change in an extension-field
+    # operation shows here
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), "vanish", "--set", _random_set_file(tmp_path, q, count),
+                 "--degree", str(degree), "--mult", "2"]) == 0
+    assert json.loads(out.read_text())["terms"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_min_search_wrong_degree_g(tmp_path, capsys):

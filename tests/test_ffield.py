@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -10,6 +11,9 @@ from ffkakeya.errors import (
     UnsupportedFieldSize,
 )
 from ffkakeya.ffield import (
+    _poly_divmod_p,
+    _poly_mulmod_p,
+    _poly_trim,
     all_elements,
     arith,
     field_for_q,
@@ -117,3 +121,101 @@ def test_field_for_q_prime_powers():
     assert field_for_q(9).q == 9
     with pytest.raises(NonPrime):
         field_for_q(6)
+
+
+def test_bare_integer_element_is_its_image_in_prime_field():
+    # docs/formats.md: a bare integer is the image of that integer in F_p,
+    # not a rank code (the code of (1, 1) in F_9 is 4)
+    F9, F8 = field_for_q(9), field_for_q(8)
+    assert F9.decode(F9.element_from_json(4)) == (1, 0)
+    assert F9.decode(F9.element_from_json(-1)) == (2, 0)
+    assert F8.decode(F8.element_from_json(5)) == (1, 0, 0)
+    assert F8.element_from_json(6) == 0
+
+
+# --- the log tables against slow arithmetic on coefficient vectors ---
+
+# the lex-first irreducible moduli: element codes and written documents depend on them
+DEFAULT_MODULI = {
+    4: (1, 1, 1),
+    8: (1, 1, 0, 1),
+    9: (1, 0, 1),
+    16: (1, 1, 0, 0, 1),
+    25: (2, 0, 1),
+    27: (1, 2, 0, 1),
+    49: (1, 0, 1),
+    256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    729: (2, 1, 0, 0, 0, 0, 1),
+    1 << 16: (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    3**10: (1, 0, 2) + (0,) * 7 + (1,),
+}
+EXHAUSTIVE_QS = [4, 8, 9, 16, 25, 27, 49]
+SAMPLED_QS = [256, 729, 1 << 16, 3**10]
+
+
+def _slow_mul(spec, a, b):
+    """Product as the polynomial product reduced mod the modulus."""
+    prod = _poly_mulmod_p(_poly_trim(spec.decode(a)), _poly_trim(spec.decode(b)), spec.p)
+    _, rem = _poly_divmod_p(prod, spec.modulus, spec.p)
+    return spec.encode(rem + (0,) * (spec.m - len(rem)))
+
+
+def _slow_pow(spec, a, e):
+    result = spec.one
+    for bit in bin(e)[2:]:
+        result = _slow_mul(spec, result, result)
+        if bit == "1":
+            result = _slow_mul(spec, result, a)
+    return result
+
+
+def _digitwise(spec, op, *codes):
+    return spec.encode(tuple(op(*cs) % spec.p for cs in zip(*map(spec.decode, codes))))
+
+
+def _check_against_oracle(spec, pairs, bases):
+    for a, b in pairs:
+        assert spec.add(a, b) == _digitwise(spec, operator.add, a, b), (a, b)
+        assert spec.sub(a, b) == _digitwise(spec, operator.sub, a, b), (a, b)
+        assert spec.mul(a, b) == _slow_mul(spec, a, b), (a, b)
+        if b:
+            assert _slow_mul(spec, spec.div(a, b), b) == a, (a, b)
+    q = spec.q
+    for a in bases:
+        assert spec.neg(a) == _digitwise(spec, operator.neg, a), a
+        if a:
+            assert _slow_mul(spec, a, spec.inv(a)) == spec.one, a
+        for e in (0, 1, 2, 3, q - 2, q - 1, q, q + 1, 3 * q + 5):
+            assert spec.pow_(a, e) == _slow_pow(spec, a, e), (a, e)
+            if a:
+                assert _slow_mul(spec, spec.pow_(a, -e), _slow_pow(spec, a, e)) == spec.one
+
+
+@pytest.mark.parametrize("q", EXHAUSTIVE_QS)
+def test_ops_match_slow_oracle_exhaustive(q):
+    spec = field_for_q(q)
+    assert spec.modulus == DEFAULT_MODULI[q]
+    codes = range(q)
+    _check_against_oracle(spec, [(a, b) for a in codes for b in codes], codes)
+
+
+@pytest.mark.parametrize("q", SAMPLED_QS)
+def test_ops_match_slow_oracle_sampled(q):
+    spec = field_for_q(q)
+    assert spec.modulus == DEFAULT_MODULI[q]
+    rng = random.Random(q)
+    minus_one = spec.neg(spec.one)
+    edges = [0, spec.one, minus_one, q - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(1500)]
+    pairs += [(a, spec.neg(a)) for a, _ in pairs[-20:]]  # sums that cancel
+    _check_against_oracle(spec, pairs, edges + [rng.randrange(q) for _ in range(25)])
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 3), (3, 2), (3, 6)])
+def test_pow_zero_base(p, m):
+    spec = make_field(p, m)
+    assert spec.pow_(0, 0) == spec.one
+    assert spec.pow_(0, 1) == spec.pow_(0, spec.q) == 0
+    with pytest.raises(DivisionByZero):
+        spec.pow_(0, -1)
