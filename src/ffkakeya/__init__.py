@@ -4,7 +4,7 @@ construction, set generation/search, and certificate-emitting proof replay.
 """
 
 from .errors import FFKakeyaError
-from .ffield import FieldElement, FieldSpec, all_elements, arith, field_for_q, make_field
+from .ffield import FieldElement, FieldSpec, all_elements, field_for_q, make_field
 from .mpoly import (
     NEG_INFINITY,
     SparsePoly,

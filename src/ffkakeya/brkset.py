@@ -55,6 +55,8 @@ class PointSet:
 
         spec = field_from_json(expect_json(doc, dict, "point set")["field"])
         n = expect_json(doc["n"], int, "n")
+        if n < 1:
+            raise DimensionMismatch(f"dimension n must be >= 1, got {n}")
         pts = set()
         for pt in expect_json(doc["points"], list, "points"):
             if len(expect_json(pt, list, "point")) != n:
@@ -326,7 +328,7 @@ def min_brk_search(
         return BrkInstance(spec, n, ell, g, per_rho)
 
     if mode == "exhaustive":
-        min_size, idx = kernels.min_union(rho_masks, q**n)
+        min_size, idx = kernels.min_union(rho_masks)
         witness = witness_of(enumerate(idx))
         assert min_size == len(generate_set(witness))
         assert min_size >= ceiling, "theorem bound violated: implementation bug"

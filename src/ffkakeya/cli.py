@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import kernels, selftest
+from . import selftest
 from .brkset import BrkInstance, PointSet, generate_set, min_brk_search, theorem_bound, verify_brk
 from .errors import FFKakeyaError
 from .ffield import expect_json, field_for_q
@@ -163,11 +163,6 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_backend(args) -> int:
-    print(kernels.BACKEND)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ffkakeya",
@@ -218,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the full invariant suite")
     p.set_defaults(func=_cmd_selftest)
-
-    p = sub.add_parser("backend", help="print which kernel backend is active")
-    p.set_defaults(func=_cmd_backend)
 
     return parser
 

@@ -405,19 +405,6 @@ def field_for_q(q: int) -> FieldSpec:
     return make_field(*prime_power(q))
 
 
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Named dispatch for the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def all_elements(spec: FieldSpec):
     """All q elements, zero first, in the canonical code order."""
     return [FieldElement(spec, c) for c in range(spec.q)]

@@ -127,6 +127,10 @@ def check_key_lemma(trials: int, spec: FieldSpec, n: int, k: int, seed: int = 0)
     """Contrapositive: any instance with some c_alpha != 0 must have a nonzero
     table entry; an all-zero table would falsify the statement."""
     q = spec.q
+    if n < 1:
+        raise DimensionMismatch(f"dimension n must be >= 1, got {n}")
+    if trials < 1:
+        raise PreconditionFailed(f"trials must be >= 1, got {trials}")
     cap = k * (q - 1)
     if cap < 2:
         raise PreconditionFailed("k(q-1) >= 2 required so nonzero instances exist")
@@ -243,6 +247,8 @@ def check_proposition(
     every sampled nonzero weighted-homogeneous Q of degree < k(q-1) there
     must be rho != 0 and |beta| < k with Q^(beta)(rho*(s, f(s))) nonzero."""
     q = spec.q
+    if trials < 1:
+        raise PreconditionFailed(f"trials must be >= 1, got {trials}")
     if f.is_zero():
         raise PreconditionFailed("f must be nonzero")
     if f.arity != n - 1:

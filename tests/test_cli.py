@@ -124,13 +124,14 @@ def test_min_search_output_pinned(tmp_path, q, ell, mode, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def _stdouts_under_hash_seeds(args):
-    """stdout of `ffkakeya <args>` in fresh processes with PYTHONHASHSEED 1 and 2."""
+def _stdouts_under_hash_seeds(args, python_args=("-m", "ffkakeya.cli")):
+    """stdout of `python <python_args> <args>` (by default `ffkakeya <args>`) in
+    fresh processes with PYTHONHASHSEED 1 and 2."""
     src = os.path.dirname(os.path.dirname(ffkakeya.__file__))
     outs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        outs.append(subprocess.run([sys.executable, "-m", "ffkakeya.cli", *args], env=env,
+        outs.append(subprocess.run([sys.executable, *python_args, *args], env=env,
                                    capture_output=True, check=True).stdout)
     return outs
 
@@ -167,6 +168,23 @@ def test_deterministic_across_processes(tmp_path, args):
     outs = _stdouts_under_hash_seeds(args)
     assert outs[0] == outs[1]
     assert outs[0].strip() != b"none"
+
+
+_PRINT_SELFTEST_CERTIFICATES = (
+    "import sys\n"
+    "from ffkakeya import selftest\n"
+    "for _, runner in selftest.RUNNERS:\n"
+    "    sys.stdout.buffer.write(runner(int(sys.argv[1])).to_json_bytes() + b'\\n')\n"
+)
+
+
+def test_selftest_certificates_deterministic_across_processes():
+    # the CLI prints only "selftest: pass", so compare the certificates themselves
+    outs = _stdouts_under_hash_seeds(["1"], python_args=("-c", _PRINT_SELFTEST_CERTIFICATES))
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert len(lines) == 11
+    assert all(json.loads(line)["verdict"] == "pass" for line in lines)
 
 
 @pytest.mark.parametrize("q,count,degree,digest", [
@@ -302,9 +320,40 @@ def test_missing_file_reports_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_backend_subcommand(capsys):
-    assert main(["backend"]) == 0
-    assert capsys.readouterr().out.strip() in ("compiled", "python")
+def test_removed_backend_subcommand_is_usage_error(capsys):
+    # there is one kernel implementation, so there is no backend to report
+    assert main(["backend"]) == 2
+    assert "invalid choice: 'backend'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_vanish_rejects_dimension_below_one(tmp_path, F5, capsys, n):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": F5.to_json(), "n": n, "points": []}))
+    assert main(["vanish", "--set", str(path), "--degree", "2", "--mult", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: DimensionMismatch: dimension n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_replay_key_lemma_rejects_dimension_below_one(capsys, n):
+    assert main(["replay", "--check", "key-lemma", "--q", "3", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: DimensionMismatch: dimension n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("check", ["key-lemma", "proposition"])
+def test_replay_rejects_trials_below_one(tmp_path, capsys, check, trials):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"f": poly_to_json(SparsePoly(field_for_q(3), 1, {(2,): 1}))}))
+    assert main(["replay", "--check", check, "--q", "3", "--params", str(path),
+                 "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: PreconditionFailed: trials must be >= 1, got {trials}\n"
 
 
 def test_out_writes_file_deterministically(tmp_path):
