@@ -4,7 +4,7 @@ construction, set generation/search, and certificate-emitting proof replay.
 """
 
 from .errors import FFKakeyaError
-from .ffield import FieldElement, FieldSpec, all_elements, field_for_q, make_field
+from .ffield import FieldElement, FieldSpec, field_for_q, make_field
 from .mpoly import (
     NEG_INFINITY,
     SparsePoly,
@@ -14,7 +14,6 @@ from .mpoly import (
     hasse_derivative,
     lex_compare,
     min_lex_exponent,
-    weighted_degree,
 )
 from .multiplicity import INFINITE, mult_at, schwartz_zippel_audit, vanishes_with_mult
 from .vanish import VanishProblem, build_system, find_vanishing_poly, nullspace_trivial
@@ -23,7 +22,6 @@ from .brkset import (
     PerRho,
     PointSet,
     generate_set,
-    kakeya_set,
     min_brk_search,
     proof_params,
     theorem_bound,
@@ -37,7 +35,6 @@ from .replay import (
     check_proposition,
     check_warmup,
     key_lemma_table,
-    weighted_partition,
 )
 
 __version__ = "0.1.0"

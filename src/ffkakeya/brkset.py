@@ -23,7 +23,7 @@ from .errors import (
     NotMultipleOfQ,
     SearchSpaceTooLarge,
 )
-from .ffield import FieldElement, FieldSpec, expect_json, field_for_q, prime_power
+from .ffield import FieldSpec, expect_json, prime_power
 from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8
@@ -359,65 +359,3 @@ def min_brk_search(
     return MinSearchResult(
         "greedy", best_size, witness, ceiling, seed=seed, restarts=restarts
     )
-
-
-# --- Kakeya baseline ---
-
-
-def _verify_kakeya(S: PointSet):
-    """Exhaustive per-direction check: a full line in every direction."""
-    spec, n = S.spec, S.n
-    q = spec.q
-    directions = []
-    for lead in range(n):
-        for tail in itertools.product(range(q), repeat=n - 1 - lead):
-            directions.append((0,) * lead + (spec.one,) + tail)
-    for b in directions:
-        found = False
-        for a in S.points:
-            line_ok = True
-            for t in range(q):
-                pt = tuple(spec.add(ai, spec.mul(t, bi)) for ai, bi in zip(a, b))
-                if pt not in S.points:
-                    line_ok = False
-                    break
-            if line_ok:
-                found = True
-                break
-        if not found:
-            raise AssertionError(f"no line in direction {b}")
-
-
-def kakeya_set(q: int, n: int, besicovitch: bool = False) -> PointSet:
-    """A verified Kakeya set in F_q^n.
-
-    Trivial mode returns the full grid.  Besicovitch mode uses the
-    parabola-completion construction (odd characteristic; falls back to
-    the full grid in characteristic 2) and is post-verified.
-    """
-    if n < 2:
-        raise DimensionMismatch("n must be >= 2")
-    spec = field_for_q(q)
-    if not besicovitch or spec.p == 2:
-        pts = frozenset(itertools.product(range(q), repeat=n))
-        S = PointSet(spec, n, pts)
-        _verify_kakeya(S)
-        return S
-    pts = set()
-    # Lines with leading direction 1: graph coordinates t^2 - u^2.
-    squares = {spec.mul(u, u) for u in range(q)}
-    for t in range(q):
-        t2 = spec.mul(t, t)
-        vals = [spec.sub(t2, s2) for s2 in squares]
-        for rest in itertools.product(vals, repeat=n - 1):
-            pts.add((t,) + rest)
-    # Directions with leading coordinate 0: recurse on one fewer dimension.
-    if n == 2:
-        sub = [(c,) for c in range(q)]
-    else:
-        sub = kakeya_set(q, n - 1, besicovitch=True).points
-    for tail in sub:
-        pts.add((0,) + tuple(tail))
-    S = PointSet(spec, n, frozenset(pts))
-    _verify_kakeya(S)
-    return S

@@ -364,12 +364,13 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:
     The modulus is a sequence of m+1 coefficients in ascending order
     (constant term first), monic of degree m.
     """
+    # size first, so a huge p is never trial-divided; a prime p has p^m >= 2^m
+    if p > MAX_Q or m > 16 or (m >= 1 and p**m > MAX_Q):
+        raise UnsupportedFieldSize(f"q = {p}^{m} exceeds 2^16")
     if not _is_prime(p):
         raise NonPrime(f"p = {p} is not prime")
     if m < 1:
         raise ValueError("extension degree m must be >= 1")
-    if p**m > MAX_Q:
-        raise UnsupportedFieldSize(f"q = {p}^{m} exceeds 2^16")
     if m == 1:
         if modulus is not None:
             raise ValueError("modulus only applies to extension fields (m > 1)")
@@ -402,12 +403,9 @@ def prime_power(q: int):
 
 def field_for_q(q: int) -> FieldSpec:
     """F_q for a prime power q, with the default (lex-first) modulus."""
+    if q > MAX_Q:
+        raise UnsupportedFieldSize(f"q = {q} exceeds 2^16")
     return make_field(*prime_power(q))
-
-
-def all_elements(spec: FieldSpec):
-    """All q elements, zero first, in the canonical code order."""
-    return [FieldElement(spec, c) for c in range(spec.q)]
 
 
 _JSON_TYPES = {dict: (dict,), list: (list, tuple), int: (int,)}

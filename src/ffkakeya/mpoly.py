@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ArityMismatch, BadEll, MixedFields, ZeroPolynomial
+from .errors import ArityMismatch, MixedFields, ZeroPolynomial
 from .ffield import FieldElement, FieldSpec, expect_json
 
 _EXP_GUARD = 1 << 20
@@ -81,20 +81,13 @@ def binom_multi(a, b) -> int:
     return out
 
 
-def weighted_degree(alpha, ell: int) -> int:
-    """alpha_1 + ... + alpha_{n-1} + ell * alpha_n."""
-    if ell < 2:
-        raise BadEll(f"ell = {ell} must be >= 2")
-    if len(alpha) < 2:
-        raise ArityMismatch("weighted degree needs arity >= 2")
-    return sum(alpha[:-1]) + ell * alpha[-1]
-
-
 def compositions(n: int, total: int):
     """All tuples in Z_{>=0}^n summing to `total`, in lex order."""
     if n == 1:
         yield (total,)
         return
+    if n < 1:
+        raise ArityMismatch(f"compositions need arity >= 1, got {n}")
     for first in range(total + 1):
         for rest in compositions(n - 1, total - first):
             yield (first,) + rest

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import ArityMismatch, MixedFields, SizeGuard, ZeroPolynomial
 from .ffield import FieldElement, FieldSpec
-from .mpoly import SparsePoly, compositions, hasse_derivative
+from .mpoly import SparsePoly, compositions, hasse_derivative, monomials_upto
 
 _AUDIT_GUARD = 10**7
 
@@ -89,11 +89,7 @@ def vanishes_with_mult(P: SparsePoly, A, M: int) -> VanishCheck:
         raise ValueError("multiplicity M must be >= 0")
     if M == 0 or P.is_zero():
         return VanishCheck(True)
-    derivs = [
-        (beta, hasse_derivative(P, beta))
-        for order in range(M)
-        for beta in compositions(P.arity, order)
-    ]
+    derivs = [(beta, hasse_derivative(P, beta)) for beta in monomials_upto(P.arity, M - 1)]
     for point in A:
         codes = _point_codes(P.spec, point, P.arity)
         for beta, D in derivs:
@@ -116,24 +112,11 @@ def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
     codes = [_point_codes(P.spec, (a,), 1)[0] for a in A]
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
+    # mult at a point is the least order whose derivative is nonzero there;
+    # a nonzero P has one of order <= deg P
+    derivs = [(sum(beta), hasse_derivative(P, beta)) for beta in monomials_upto(P.arity, P.degree)]
     total = 0
     for point in itertools.product(codes, repeat=P.arity):
-        total += mult_at(P, point).mult
+        total += next(order for order, D in derivs if D.eval_codes(point) != 0)
     bound = P.degree * len(codes) ** (P.arity - 1)
     return SchwartzZippelReport(total, bound, total <= bound)
-
-
-def corollary_zero_check(P: SparsePoly, M: int) -> bool:
-    """Consistency assertion: no nonzero P of degree < Mq vanishes everywhere
-    with multiplicity M.  Returns True when the implication is respected."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if P.is_zero():
-        return True
-    spec = P.spec
-    if P.degree >= M * spec.q:
-        return True  # hypothesis fails; nothing to check
-    if spec.q ** P.arity > _AUDIT_GUARD:
-        raise SizeGuard("field too large for exhaustive vanishing check")
-    grid = itertools.product(range(spec.q), repeat=P.arity)
-    return not vanishes_with_mult(P, grid, M).ok

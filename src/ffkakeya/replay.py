@@ -12,7 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .brkset import BrkInstance, PerRho, _surface_points, generate_set, proof_params
 from .errors import BadEll, DimensionMismatch, PreconditionFailed
@@ -23,8 +23,8 @@ from .mpoly import (
     binom_multi,
     hasse_derivative,
     compose,
+    monomials_upto,
     poly_to_json,
-    weighted_degree,
 )
 from .multiplicity import vanishes_with_mult
 from .vanish import VanishProblem, nullspace_trivial
@@ -95,8 +95,7 @@ def key_lemma_table(inst: KeyLemmaInstance) -> dict:
     for all |beta| < k and all nonzero rho."""
     spec = inst.spec
     table = {}
-    betas = [b for order in range(inst.k) for b in compositions(inst.n, order)]
-    for beta in betas:
+    for beta in monomials_upto(inst.n, inst.k - 1):
         wb = sum(beta)
         for rho in range(1, spec.q):
             acc = 0
@@ -210,15 +209,14 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
             "M": M,
         },
     )
-    for order in range(k):
-        for beta in compositions(n, order):
-            composed = compose(hasse_derivative(P, beta), subs)
-            is_zero = composed.is_zero()
-            cert.steps.append({"beta": list(beta), "composition_zero": is_zero})
-            if not is_zero:
-                cert.verdict = "fail"
-                cert.witness = {"beta": list(beta), "composition": poly_to_json(composed)}
-                return cert
+    for beta in monomials_upto(n, k - 1):
+        composed = compose(hasse_derivative(P, beta), subs)
+        is_zero = composed.is_zero()
+        cert.steps.append({"beta": list(beta), "composition_zero": is_zero})
+        if not is_zero:
+            cert.verdict = "fail"
+            cert.witness = {"beta": list(beta), "composition": poly_to_json(composed)}
+            return cert
     return cert
 
 
@@ -280,21 +278,17 @@ def check_proposition(
         support = rng.sample(candidates, rng.randint(1, min(4, len(candidates))))
         terms = {alpha: rng.randrange(1, q) for alpha in support}
         Q = SparsePoly(spec, n, terms)
-        witness = None
-        for order in range(k):
-            for beta in compositions(n, order):
-                deriv = hasse_derivative(Q, beta)
-                if deriv.is_zero():
-                    continue
-                for rho in range(1, q):
-                    scaled = [h.scale(rho) for h in subs]
-                    if not compose(deriv, scaled).is_zero():
-                        witness = (beta, rho)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        derivs = ((beta, hasse_derivative(Q, beta)) for beta in monomials_upto(n, k - 1))
+        witness = next(
+            (
+                (beta, rho)
+                for beta, deriv in derivs
+                if not deriv.is_zero()
+                for rho in range(1, q)
+                if not compose(deriv, [h.scale(rho) for h in subs]).is_zero()
+            ),
+            None,
+        )
         if witness is None:
             cert.verdict = "fail"
             cert.witness = {"Q": poly_to_json(Q)}
@@ -350,13 +344,3 @@ def check_warmup(q: int, k: int, instance: Optional[BrkInstance] = None, seed: i
         cert.verdict = "fail"
         cert.witness = {"counting_ok": ineq_ok, "nullspace_trivial": trivial}
     return cert
-
-
-def weighted_partition(exponents, ell: int) -> dict:
-    """Partition multi-indices by weighted degree alpha_1+...+alpha_{n-1}+ell*alpha_n."""
-    if ell < 2:
-        raise BadEll(f"ell = {ell} must be >= 2")
-    out = {}
-    for alpha in exponents:
-        out.setdefault(weighted_degree(alpha, ell), set()).add(tuple(alpha))
-    return out

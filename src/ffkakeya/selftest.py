@@ -5,13 +5,12 @@ suite both drive these runners.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import Callable, List
 
-from .brkset import min_brk_search, theorem_bound
-from .ffield import make_field, field_for_q
+from .brkset import min_brk_search
+from .ffield import field_for_q
 from .mpoly import (
     SparsePoly,
     binom_multi,
@@ -19,8 +18,6 @@ from .mpoly import (
     compositions,
     expand_shift,
     hasse_derivative,
-    lex_compare,
-    min_lex_exponent,
     monomials_upto,
 )
 from .multiplicity import INFINITE, mult_at, schwartz_zippel_audit, vanishes_with_mult

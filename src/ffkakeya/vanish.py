@@ -14,12 +14,12 @@ arithmetic; extension fields go through the FieldSpec operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ArityMismatch, MixedFields, SizeGuard
 from .ffield import FieldElement, FieldSpec
-from .mpoly import SparsePoly, binom_multi, compositions, monomials_upto
+from .mpoly import SparsePoly, binom_multi, monomials_upto
 from .multiplicity import vanishes_with_mult
 
 _SYSTEM_GUARD = 10**8
@@ -54,6 +54,8 @@ class VanishProblem:
             raise ValueError("max degree D must be >= 0")
         if self.mult < 1:
             raise ValueError("multiplicity M must be >= 1")
+        if self.arity < 1:
+            raise ArityMismatch(f"arity must be >= 1, got {self.arity}")
         self.points = _canon_points(self.spec, self.arity, self.points)
 
     @property
@@ -106,7 +108,7 @@ def _system_rows(prob: VanishProblem, cols: list):
     spec = prob.spec
     ncols = len(cols)
     col_index = {alpha: j for j, alpha in enumerate(cols)}
-    betas = [b for order in range(prob.mult) for b in compositions(prob.arity, order)]
+    betas = monomials_upto(prob.arity, prob.mult - 1)
     # per beta: (column, binomial code, column of alpha - beta) for nonzero binomials
     tables = []
     for beta in betas:

@@ -10,7 +10,6 @@ from ffkakeya.brkset import (
     PerRho,
     PointSet,
     generate_set,
-    kakeya_set,
     min_brk_search,
     proof_params,
     theorem_bound,
@@ -316,22 +315,3 @@ class TestSurfaceMasks:
         assert list(levels[0].values()) == [25 * i for i in range(25)]
         for level in levels[1:]:
             assert list(level.values()) == list(range(25))
-
-
-class TestKakeya:
-    def test_trivial_full_grid(self):
-        S = kakeya_set(3, 2)
-        assert len(S) == 9
-
-    @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)])
-    def test_besicovitch_smaller_and_verified(self, q, n):
-        S = kakeya_set(q, n, besicovitch=True)
-        assert len(S) < q**n  # construction beats the grid (post-verified inside)
-
-    def test_besicovitch_char2_falls_back(self):
-        S = kakeya_set(4, 2, besicovitch=True)
-        assert len(S) == 16
-
-    def test_extension_field(self):
-        S = kakeya_set(9, 2, besicovitch=True)
-        assert len(S) < 81

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -342,6 +343,29 @@ def test_replay_key_lemma_rejects_dimension_below_one(capsys, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: DimensionMismatch: dimension n must be >= 1, got {n}\n"
+
+
+BIG_PRIME = 2**61 - 1  # trial division to its square root takes minutes
+
+
+def test_vanish_rejects_oversized_field_at_once(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": {"p": BIG_PRIME, "m": 1}, "n": 2, "points": []}))
+    start = time.perf_counter()
+    assert main(["vanish", "--set", str(path), "--degree", "2", "--mult", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: UnsupportedFieldSize: q = {BIG_PRIME}^1 exceeds 2^16\n"
+
+
+def test_replay_rejects_oversized_field_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["replay", "--check", "key-lemma", "--q", str(BIG_PRIME)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: UnsupportedFieldSize: q = {BIG_PRIME} exceeds 2^16\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffkakeya.errors import ArityMismatch, BadEll, ZeroPolynomial
+from ffkakeya.errors import ArityMismatch, ZeroPolynomial
 from ffkakeya.ffield import make_field
 from ffkakeya.mpoly import (
     NEG_INFINITY,
@@ -18,7 +18,6 @@ from ffkakeya.mpoly import (
     monomials_upto,
     poly_from_json,
     poly_to_json,
-    weighted_degree,
 )
 
 
@@ -208,15 +207,13 @@ class TestCompose:
                 assert out.degree <= P.degree * max(hmax, 1)
 
 
-class TestWeightedDegree:
-    def test_examples(self):
-        assert weighted_degree((1, 0, 2), 2) == 5
-        assert weighted_degree((0, 0, 0), 5) == 0
-        assert weighted_degree((3, 1), 3) == 6
-
-    def test_bad_ell(self):
-        with pytest.raises(BadEll):
-            weighted_degree((1, 1), 1)
+@pytest.mark.parametrize("n", [0, -1])
+def test_compositions_reject_arity_below_one(n):
+    # n < 1 must fail at once rather than recurse without end
+    with pytest.raises(ArityMismatch):
+        list(compositions(n, 0))
+    with pytest.raises(ArityMismatch):
+        monomials_upto(n, 1)
 
 
 def test_zero_degree_sentinel(F3):

@@ -8,7 +8,6 @@ from ffkakeya.ffield import make_field
 from ffkakeya.mpoly import SparsePoly, compose, compositions, hasse_derivative
 from ffkakeya.multiplicity import (
     INFINITE,
-    corollary_zero_check,
     mult_at,
     schwartz_zippel_audit,
     vanishes_with_mult,
@@ -123,25 +122,3 @@ def test_composition_mult_lower_bound():
         if lhs is INFINITE:
             continue
         assert rhs is not INFINITE and lhs >= rhs
-
-
-def test_corollary_vacuous_high_degree(F3):
-    # x^q - x vanishes everywhere with mult 1, but deg = q so no hypothesis
-    P = SparsePoly.from_int_terms(F3, 1, {(3,): 1, (1,): -1})
-    assert corollary_zero_check(P, 1)
-
-
-def test_corollary_zero_poly(F3):
-    assert corollary_zero_check(SparsePoly.zero(F3, 2), 3)
-
-
-def test_corollary_random_low_degree():
-    rng = random.Random(25)
-    for _ in range(100):
-        spec = make_field(rng.choice([2, 3]))
-        n = rng.randint(1, 2)
-        M = rng.randint(1, 2)
-        P = random_poly(rng, spec, n, M * spec.q - 1)
-        if P.is_zero():
-            continue
-        assert corollary_zero_check(P, M)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ffkakeya.errors import BadEll, NonPrime, NotMultipleOfQ, PreconditionFailed
+from ffkakeya.errors import NonPrime, NotMultipleOfQ, PreconditionFailed
 from ffkakeya.mpoly import SparsePoly, compositions
 from ffkakeya.replay import (
     Certificate,
@@ -14,7 +14,6 @@ from ffkakeya.replay import (
     check_proposition,
     check_warmup,
     key_lemma_table,
-    weighted_partition,
 )
 
 
@@ -170,17 +169,6 @@ class TestWarmup:
         # SHA-256 of the canonical certificate bytes; any change to the
         # vanishing system, the elimination or the parameters shows here
         assert hashlib.sha256(check_warmup(q, k).to_json_bytes()).hexdigest() == digest
-
-
-class TestWeightedPartition:
-    def test_groups(self):
-        part = weighted_partition([(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0)], 3)
-        assert part[1] == {(1, 0, 0), (0, 1, 0)}
-        assert part[3] == {(0, 0, 1), (3, 0, 0)}
-
-    def test_bad_ell(self):
-        with pytest.raises(BadEll):
-            weighted_partition([(1, 0)], 1)
 
 
 def test_seeded_determinism(F5):

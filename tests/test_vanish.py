@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffkakeya.errors import SizeGuard
+from ffkakeya.errors import ArityMismatch, SizeGuard
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.multiplicity import vanishes_with_mult
 from ffkakeya.vanish import (
@@ -128,6 +128,12 @@ def test_size_guard():
     points = [(a, b) for a in range(3) for b in range(3)]
     with pytest.raises(SizeGuard):
         build_system(VanishProblem(F3, 2, points, 300, 40))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_arity_below_one_rejected(F5, n):
+    with pytest.raises(ArityMismatch):
+        nullspace_trivial(VanishProblem(F5, n, [], 1, 1))
 
 
 def test_existence_when_counting_holds():
