@@ -209,7 +209,10 @@ class ProofParams:
 
 def proof_params(q: int, ell: int, k: int) -> ProofParams:
     """D = k(q-1)-1 and M = (ell+1)k - 2*ell*k/q, with the degree/multiplicity
-    inequality ell*(D-w) < (M-w)*q checked over the whole range 0 <= w < k."""
+    inequality ell*(D-w) < (M-w)*q checked over the whole range 0 <= w < k.
+
+    The inequality is linear in w and, as q > ell, tightest at w = k-1, so
+    that one w decides the whole range."""
     if not 2 <= ell < q:
         raise EllOutOfRange(f"need 2 <= ell < q, got ell={ell}, q={q}")
     if k < q or k % q != 0:
@@ -218,9 +221,9 @@ def proof_params(q: int, ell: int, k: int) -> ProofParams:
     D = k * (q - 1) - 1
     M = (ell + 1) * k - 2 * ell * k // q
     assert M >= 1 and D >= 0
-    for w in range(k):
-        if not ell * (D - w) < (M - w) * q:
-            raise AssertionError(f"parameter inequality fails at w={w}")
+    if not ell * (D - k + 1) < (M - k + 1) * q:
+        w = max(0, -((ell * D - M * q) // (q - ell)))  # the first w where it fails
+        raise AssertionError(f"parameter inequality fails at w={w}")
     return ProofParams(q, ell, k, D, M)
 
 

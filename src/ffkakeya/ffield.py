@@ -14,7 +14,6 @@ testing and the table build.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,19 +27,45 @@ from .errors import (
 MAX_Q = 1 << 16
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin over these bases decides every n below _MR_EXACT_BELOW, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; UnsupportedFieldSize for an n at or above
+    _MR_EXACT_BELOW that no base shows composite."""
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_EXACT_BELOW:
+        raise UnsupportedFieldSize(f"cannot decide whether {n} is prime")
     return True
+
+
+def _iroot(q: int, m: int) -> int:
+    """floor(q^(1/m)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // m)
+    while True:
+        t = ((m - 1) * r + q // r ** (m - 1)) // m
+        if t >= r:
+            return r
+        r = t
 
 
 # --- polynomial helpers over F_p, coefficient tuples in ascending order ---
@@ -389,15 +414,18 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:
 
 
 def prime_power(q: int):
-    """(p, m) with q = p^m and p prime; NonPrime if q is not a prime power."""
+    """(p, m) with q = p^m and p prime; NonPrime if q is not a prime power.
+
+    If q = p^m, then m is the largest exponent for which q is a perfect
+    power, and p is that root, so only that root's primality is tested.
+    """
     if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        m, t = 0, q
-        while t % p == 0:
-            t //= p
-            m += 1
-        if t == 1:
-            return p, m
+        for m in range(q.bit_length(), 0, -1):
+            r = _iroot(q, m)
+            if r**m == q:
+                if _is_prime(r):
+                    return r, m
+                break
     raise NonPrime(f"q = {q} is not a prime power")
 
 

@@ -7,8 +7,15 @@ which is the coefficient of c_alpha in the beta-th Hasse derivative at a.
 Rows are generated lazily, one point at a time, and folded into an
 incremental row-echelon basis that stops reading rows once the rank equals
 the number of columns.  A solution, when one is needed, comes from
-back-substitution through that basis.  Prime fields use inline mod-p
-arithmetic; extension fields go through the FieldSpec operations.
+back-substitution through that basis.
+
+Over a prime field a row is packed into one Python int, w bits per column,
+with w = bit_length(ncols*(p-1)^2 + p) + 1: wide enough that a column can
+take one update from every pivot before it is reduced mod p, so that no
+carry crosses into the next column.  Only the leading column is reduced as
+the row is scanned; each new pivot row is unpacked once, reduced and kept
+as a list, which is the basis the rest of the module reads.  Extension
+fields keep list rows and the FieldSpec operations.
 """
 
 from __future__ import annotations
@@ -149,35 +156,86 @@ def build_system(prob: VanishProblem) -> LinearSystem:
     return LinearSystem(prob.spec, cols, row_index, rows)
 
 
+class _SlotStrings(dict):
+    """The w-bit binary string of each residue, made on first use."""
+
+    def __init__(self, w: int):
+        super().__init__()
+        self.fmt = f"0{w}b"
+
+    def __missing__(self, x: int) -> str:
+        bits = self[x] = format(x, self.fmt)
+        return bits
+
+
 def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     """Fold a stream of rows into a row-echelon basis; stop at full column rank.
 
     The basis maps each pivot column c to its row's entries from column c
     on, scaled so that the first is one (all entries before c are zero).
     Rows after the one that completes the rank are never read.
+
+    Over a prime field each row is packed into one int, slot j (w bits,
+    low to high) holding column j, and reduced only where it must be.  A
+    pivot row is stored fully reduced, so eliminating column c adds
+    (p - f) * pivot, which has no subtraction and so never borrows.  A slot
+    starts below p and gains at most (p-1)^2 from each of at most ncols
+    pivots, so it stays below ncols*(p-1)^2 + p: w is one bit more than
+    that needs, no carry ever crosses a slot, and the top bit of every slot
+    is clear.  The pivot column is the slot of the lowest set bit; only
+    that slot is reduced mod p, and a slot that is 0 mod p is dropped.  A
+    new pivot row is unpacked once, reduced and scaled, and kept both as
+    the basis list and packed for later updates.
     """
     basis = {}
-    p, prime = spec.p, spec.m == 1
-    add, mul = spec.add, spec.mul
-    for row in rows:
-        off, c = 0, 0  # row holds the entries from column off on
-        while True:
-            while c < ncols and not row[c - off]:
-                c += 1
-            if c == ncols:
-                break
-            piv = basis.get(c)
-            if piv is None:
-                inv = spec.inv(row[c - off])
-                basis[c] = [mul(x, inv) for x in row[c - off:]]
-                break
-            f = row[c - off]
-            if prime:
-                row = [(x - f * y) % p for x, y in zip(row[c - off:], piv)]
-            else:
-                nf = spec.neg(f)
+    if spec.m > 1:
+        add, mul = spec.add, spec.mul
+        for row in rows:
+            off, c = 0, 0  # row holds the entries from column off on
+            while True:
+                while c < ncols and not row[c - off]:
+                    c += 1
+                if c == ncols:
+                    break
+                piv = basis.get(c)
+                if piv is None:
+                    inv = spec.inv(row[c - off])
+                    basis[c] = [mul(x, inv) for x in row[c - off:]]
+                    break
+                nf = spec.neg(row[c - off])
                 row = [add(x, mul(nf, y)) if y else x for x, y in zip(row[c - off:], piv)]
-            off = c
+                off = c
+            if len(basis) == ncols:
+                break
+        return basis
+    p = spec.p
+    w = (ncols * (p - 1) ** 2 + p).bit_length() + 1
+    mask = (1 << w) - 1
+    slot = _SlotStrings(w)
+
+    def pack(entries):
+        return int("".join([slot[x] for x in reversed(entries)]) or "0", 2)
+
+    packed = {}
+    for row in rows:
+        r, c = pack(row), 0  # slot 0 of r holds column c
+        while r:
+            s = (r & -r).bit_length() // w  # exact, as each slot's top bit is clear
+            r >>= s * w
+            c += s
+            f = (r & mask) % p
+            if not f:
+                r >>= w
+                c += 1
+                continue
+            piv = packed.get(c)
+            if piv is None:
+                inv = spec.inv(f)
+                basis[c] = [(r >> k & mask) * inv % p for k in range(0, (ncols - c) * w, w)]
+                packed[c] = pack(basis[c])
+                break
+            r = (r + (p - f) * piv) >> w
+            c += 1
         if len(basis) == ncols:
             break
     return basis

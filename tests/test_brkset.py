@@ -92,6 +92,11 @@ class TestProofParams:
         with pytest.raises(NotMultipleOfQ):
             proof_params(3, 2, 0)
 
+    def test_huge_k_checked_in_closed_form(self):
+        k = 3 * 10**9
+        pp = proof_params(3, 2, k)
+        assert (pp.D, pp.M) == (2 * k - 1, 3 * k - 4 * k // 3)
+
     def test_inequality_holds_on_grid(self):
         for q in (3, 5, 7):
             for ell in range(2, q):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -366,6 +368,28 @@ def test_replay_rejects_oversized_field_at_once(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: UnsupportedFieldSize: q = {BIG_PRIME} exceeds 2^16\n"
+
+
+@pytest.mark.parametrize("q", [BIG_PRIME, 2**100])
+def test_bound_answers_for_huge_q_at_once(capsys, q):
+    start = time.perf_counter()
+    assert main(["bound", "--q", str(q), "--n", "2", "--ell", "2"]) == 0
+    assert time.perf_counter() - start < 1
+    value = Fraction(((q - 1) * q) ** 2, (3 * q - 4) ** 2)
+    assert capsys.readouterr().out == (
+        f"{value.numerator}/{value.denominator} (ceil {math.ceil(value)})\n"
+    )
+
+
+def test_replay_warmup_huge_k_reaches_system_guard_at_once(capsys):
+    # the parameter check is one comparison, not a loop over 0 <= w < k
+    start = time.perf_counter()
+    assert main(["replay", "--check", "warmup", "--q", "3", "--k", "3000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SizeGuard: ")
+    assert captured.err.endswith(" system exceeds guard\n") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -17,6 +18,7 @@ from ffkakeya.ffield import (
     field_for_q,
     field_from_json,
     make_field,
+    prime_power,
 )
 
 TEST_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
@@ -132,6 +134,61 @@ def test_field_for_q_prime_powers():
     assert field_for_q(9).q == 9
     with pytest.raises(NonPrime):
         field_for_q(6)
+
+
+def _trial_division_prime_power(q):
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
+
+
+def _prime_power_or_none(q):
+    try:
+        return prime_power(q)
+    except NonPrime:
+        return None
+
+
+def test_prime_power_matches_trial_division_below_2_16():
+    for q in range(-2, 2):
+        assert _prime_power_or_none(q) is None
+    for q in range(2, 1 << 16):
+        assert _prime_power_or_none(q) == _trial_division_prime_power(q), q
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+
+
+@pytest.mark.parametrize("q,want", [
+    (2**61 - 1, (2**61 - 1, 1)),
+    ((2**61 - 1) ** 2, (2**61 - 1, 2)),
+    (2**100, (2, 100)),
+    (3**40, (3, 40)),
+    ((2**31 - 1) ** 3, (2**31 - 1, 3)),
+    (1000000007 * 1000000009, None),
+    (10**30, None),
+    (2**64 + 1, None),
+    (6**20, None),
+])
+def test_prime_power_large(q, want):
+    if want is None:
+        with pytest.raises(NonPrime):
+            prime_power(q)
+    else:
+        assert prime_power(q) == want
+
+
+def test_prime_power_undecidable_beyond_exact_range():
+    # PSI_12 is composite but passes Miller-Rabin to each of the first 12
+    # prime bases; the prime 2^127 - 1 passes too and is past the exact range
+    with pytest.raises(UnsupportedFieldSize):
+        prime_power(PSI_12)
+    with pytest.raises(UnsupportedFieldSize):
+        prime_power(2**127 - 1)
+    assert prime_power(2**127) == (2, 127)
 
 
 def test_bare_integer_element_is_its_image_in_prime_field():

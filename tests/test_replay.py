@@ -164,6 +164,8 @@ class TestWarmup:
         (3, 6, "fd5f7fa89b035870b620daf63199014cedf327e4071a464a3ba293481caf0010"),
         (3, 9, "7b66fb9429aca57243bc662a3435efb2545dcd651cca8c91350e9c756f22ceb5"),
         (5, 5, "b80b79ab0c760756a056afd3b5bc3e99bc298f85c34e3e562baa42d474674ab8"),
+        (3, 12, "2ec4e2b11432083a625e6949fbe20e888379a89b195639ef69f5541b1b3ad36e"),
+        (3, 15, "15b9684f23bc1b979da3cf668c9e71787f4a702875e0bd4dca1c2752ae4b4cb4"),
     ])
     def test_certificate_bytes_pinned(self, q, k, digest):
         # SHA-256 of the canonical certificate bytes; any change to the

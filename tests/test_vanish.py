@@ -75,7 +75,7 @@ def _random_rows(rng, spec, nrows, ncols, rank_cap=None):
     return rows
 
 
-ORACLE_FIELDS = [2, 3, 4, 5, 7, 9, 25]
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 9, 25, 65521]
 
 
 def test_origin_system_kills_linear(F3):
@@ -184,6 +184,31 @@ def test_eliminate_matches_oracle(q):
             for c, tail in basis.items():
                 assert tail[0] == spec.one and len(tail) == ncols - c
             assert _null_vector(basis, spec, ncols) == _oracle_solution(order, spec, ncols)
+
+
+def test_eliminate_wide_dense_matches_oracle():
+    # the largest prime below 2^16 and dense rows: a slot takes up to ~50
+    # updates of (p-1)^2 before it is reduced, close to the packed width bound
+    spec = field_for_q(65521)
+    rng = random.Random(3000)
+    for ncols, rank_cap in ((48, 44), (56, 55)):
+        gens = [[rng.randrange(1, spec.q) for _ in range(ncols)] for _ in range(rank_cap)]
+        rows = [
+            [sum(c * x for c, x in zip(coeffs, col)) % spec.p for col in zip(*gens)]
+            for coeffs in ([rng.randrange(spec.q) for _ in gens] for _ in range(2 * ncols))
+        ]
+        want_rank, _, _ = _oracle_rref(rows, spec)
+        basis = _eliminate(iter(rows), spec, ncols)
+        assert len(basis) == want_rank == rank_cap
+        assert _null_vector(basis, spec, ncols) == _oracle_solution(rows, spec, ncols)
+
+
+def test_eliminate_slot_reaching_its_top_bit(F3):
+    # over F_3 with three columns a packed slot may reach 2 + 2 * 2^2 = 10;
+    # here the last slot of the third row is 8 after two updates, so the
+    # lowest set bit of the row is bit 3 of that slot
+    rows = [[1, 0, 2], [0, 1, 2], [1, 1, 0]]
+    assert len(_eliminate(iter(rows), F3, 3)) == _oracle_rref(rows, F3)[0] == 3
 
 
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
