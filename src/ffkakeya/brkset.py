@@ -93,7 +93,7 @@ class BrkInstance:
                 raise DimensionMismatch("translation a must have n coordinates")
             if pr.lower.arity != self.n - 1 or pr.lower.spec != self.spec:
                 raise ValueError("lower part must match g's arity and field")
-            if not pr.lower.is_zero() and pr.lower.degree >= self.ell:
+            if pr.lower.degree >= self.ell:
                 raise ValueError("lower part must have degree < ell")
 
     def g_rho(self, rho_code: int) -> SparsePoly:
@@ -207,12 +207,19 @@ class ProofParams:
     M: int
 
 
-def proof_params(q: int, ell: int, k: int) -> ProofParams:
-    """D = k(q-1)-1 and M = (ell+1)k - 2*ell*k/q, with the degree/multiplicity
-    inequality ell*(D-w) < (M-w)*q checked over the whole range 0 <= w < k.
+def _first_failing_w(q: int, ell: int, k: int, D: int, M: int):
+    """The least 0 <= w < k where ell*(D-w) < (M-w)*q fails, or None.
 
     The inequality is linear in w and, as q > ell, tightest at w = k-1, so
-    that one w decides the whole range."""
+    that one w decides the whole range; the least failing w is closed form."""
+    if k < 1 or ell * (D - k + 1) < (M - k + 1) * q:
+        return None
+    return max(0, -((ell * D - M * q) // (q - ell)))
+
+
+def proof_params(q: int, ell: int, k: int) -> ProofParams:
+    """D = k(q-1)-1 and M = (ell+1)k - 2*ell*k/q, with the degree/multiplicity
+    inequality ell*(D-w) < (M-w)*q checked over the whole range 0 <= w < k."""
     if not 2 <= ell < q:
         raise EllOutOfRange(f"need 2 <= ell < q, got ell={ell}, q={q}")
     if k < q or k % q != 0:
@@ -221,8 +228,8 @@ def proof_params(q: int, ell: int, k: int) -> ProofParams:
     D = k * (q - 1) - 1
     M = (ell + 1) * k - 2 * ell * k // q
     assert M >= 1 and D >= 0
-    if not ell * (D - k + 1) < (M - k + 1) * q:
-        w = max(0, -((ell * D - M * q) // (q - ell)))  # the first w where it fails
+    w = _first_failing_w(q, ell, k, D, M)
+    if w is not None:
         raise AssertionError(f"parameter inequality fails at w={w}")
     return ProofParams(q, ell, k, D, M)
 

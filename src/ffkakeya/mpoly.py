@@ -14,44 +14,7 @@ from .errors import ArityMismatch, MixedFields, ZeroPolynomial
 from .ffield import FieldElement, FieldSpec, expect_json
 
 _EXP_GUARD = 1 << 20
-
-
-class _NegInfinity:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __neg__(self):
-        raise TypeError("cannot negate -infinity degree sentinel")
-
-    def __add__(self, other):
-        return self
-
-    def __sub__(self, other):
-        return self
-
-    def __repr__(self):
-        return "NEG_INFINITY"
-
-
-NEG_INFINITY = _NegInfinity()
+NEG_INFINITY = -math.inf  # degree of the zero polynomial
 
 
 # --- multi-index utilities ---
@@ -149,9 +112,6 @@ class SparsePoly:
             return NEG_INFINITY
         return max(sum(e) for e in self.terms)
 
-    def coeff(self, exp) -> int:
-        return self.terms.get(tuple(exp), 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, SparsePoly)
@@ -238,12 +198,6 @@ class SparsePoly:
             acc = spec.add(acc, v)
         return acc
 
-    def evaluate(self, point) -> FieldElement:
-        codes = tuple(
-            c.code if isinstance(c, FieldElement) else c for c in point
-        )
-        return FieldElement(self.spec, self.eval_codes(codes))
-
     def __repr__(self):
         if not self.terms:
             return "SparsePoly(0)"
@@ -287,6 +241,19 @@ def hasse_derivative(P: SparsePoly, beta) -> SparsePoly:
         else:
             terms.pop(e, None)
     return SparsePoly(spec, P.arity, terms)
+
+
+def derivatives(P: SparsePoly, top=math.inf):
+    """(beta, P^(beta)) for |beta| <= top, degree-then-lex, built lazily.
+
+    Orders above deg P give the zero polynomial, so the walk ends at
+    min(top, deg P); it is empty for P = 0."""
+    top = min(top, P.degree)
+    order = 0
+    while order <= top:
+        for beta in compositions(P.arity, order):
+            yield beta, hasse_derivative(P, beta)
+        order += 1
 
 
 def compose(P: SparsePoly, h) -> SparsePoly:

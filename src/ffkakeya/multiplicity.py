@@ -1,50 +1,25 @@
 """Vanishing multiplicities and the multiplicity-aware Schwartz-Zippel audit.
 
 mult(P, a) is the largest M such that every Hasse derivative of order
-< M vanishes at a; the search enumerates orders by increasing total
-degree, lex within a level, so the witness is canonical.
+< M vanishes at a.  Every check here reads one walk over the derivative
+orders (`mpoly.derivatives`: by increasing total degree, lex within a
+level) and takes the first order whose derivative is nonzero at the
+point, so the witness is canonical.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ArityMismatch, MixedFields, SizeGuard, ZeroPolynomial
 from .ffield import FieldElement, FieldSpec
-from .mpoly import SparsePoly, compositions, hasse_derivative, monomials_upto
+from .mpoly import SparsePoly, derivatives
 
 _AUDIT_GUARD = 10**7
-
-
-class _Infinite:
-    """mult(0, a); compares above every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
+INFINITE = math.inf  # mult(0, a)
 
 
 def _point_codes(spec: FieldSpec, point, arity: int):
@@ -54,26 +29,31 @@ def _point_codes(spec: FieldSpec, point, arity: int):
     for c in point:
         if isinstance(c, FieldElement) and c.spec != spec:
             raise MixedFields("point coordinates from a different field")
+    for c in codes:
+        if not 0 <= c < spec.q:
+            raise ValueError(f"element code {c} out of range for q={spec.q}")
     return codes
+
+
+def _first_nonzero(derivs, codes):
+    """The first beta of a derivative walk whose derivative is nonzero at codes, or None."""
+    return next((beta for beta, D in derivs if D.eval_codes(codes) != 0), None)
 
 
 @dataclass
 class MultReport:
     point: tuple
-    mult: object  # int or INFINITE
+    mult: object  # int, or INFINITE for P = 0
     witness: Optional[tuple]  # lex-least beta with P^(beta)(point) != 0
 
 
 def mult_at(P: SparsePoly, point) -> MultReport:
     """Exact multiplicity of P at a point, with the witnessing derivative order."""
     codes = _point_codes(P.spec, point, P.arity)
-    if P.is_zero():
+    beta = _first_nonzero(derivatives(P), codes)
+    if beta is None:
         return MultReport(codes, INFINITE, None)
-    for order in range(P.degree + 1):
-        for beta in compositions(P.arity, order):
-            if hasse_derivative(P, beta).eval_codes(codes) != 0:
-                return MultReport(codes, order, beta)
-    raise AssertionError("nonzero P must have a nonvanishing derivative of order <= deg")
+    return MultReport(codes, sum(beta), beta)
 
 
 @dataclass
@@ -87,14 +67,12 @@ def vanishes_with_mult(P: SparsePoly, A, M: int) -> VanishCheck:
     """True iff mult(P, a) >= M for every a in A; reports the first failure."""
     if M < 0:
         raise ValueError("multiplicity M must be >= 0")
-    if M == 0 or P.is_zero():
-        return VanishCheck(True)
-    derivs = [(beta, hasse_derivative(P, beta)) for beta in monomials_upto(P.arity, M - 1)]
+    derivs = list(derivatives(P, M - 1))
     for point in A:
         codes = _point_codes(P.spec, point, P.arity)
-        for beta, D in derivs:
-            if D.eval_codes(codes) != 0:
-                return VanishCheck(False, codes, beta)
+        beta = _first_nonzero(derivs, codes)
+        if beta is not None:
+            return VanishCheck(False, codes, beta)
     return VanishCheck(True)
 
 
@@ -112,11 +90,8 @@ def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
     codes = [_point_codes(P.spec, (a,), 1)[0] for a in A]
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
-    # mult at a point is the least order whose derivative is nonzero there;
-    # a nonzero P has one of order <= deg P
-    derivs = [(sum(beta), hasse_derivative(P, beta)) for beta in monomials_upto(P.arity, P.degree)]
-    total = 0
-    for point in itertools.product(codes, repeat=P.arity):
-        total += next(order for order, D in derivs if D.eval_codes(point) != 0)
+    derivs = list(derivatives(P))
+    points = itertools.product(codes, repeat=P.arity)
+    total = sum(sum(_first_nonzero(derivs, point)) for point in points)
     bound = P.degree * len(codes) ** (P.arity - 1)
     return SchwartzZippelReport(total, bound, total <= bound)

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .brkset import BrkInstance, PerRho, _surface_points, generate_set, proof_params
-from .errors import BadEll, DimensionMismatch, PreconditionFailed
+from .brkset import BrkInstance, PerRho, _first_failing_w, _surface_points, generate_set, proof_params
+from .errors import BadEll, DimensionMismatch, PreconditionFailed, SizeGuard
 from .ffield import FieldSpec, field_for_q
 from .mpoly import (
     SparsePoly,
@@ -23,11 +23,14 @@ from .mpoly import (
     binom_multi,
     hasse_derivative,
     compose,
+    derivatives,
     monomials_upto,
     poly_to_json,
 )
 from .multiplicity import vanishes_with_mult
 from .vanish import VanishProblem, nullspace_trivial
+
+_ENUM_GUARD = 10**6
 
 
 @dataclass
@@ -94,6 +97,9 @@ def key_lemma_table(inst: KeyLemmaInstance) -> dict:
     """f_beta(rho) = sum_alpha b^(alpha_n - beta_n) c_alpha C(alpha,beta) rho^(|alpha|-|beta|)
     for all |beta| < k and all nonzero rho."""
     spec = inst.spec
+    orders = math.comb(max(inst.k - 1 + inst.n, 0), inst.n)  # |beta| < k
+    if orders * (spec.q - 1) > _ENUM_GUARD:
+        raise SizeGuard(f"{orders} x {spec.q - 1} key-lemma table exceeds guard")
     table = {}
     for beta in monomials_upto(inst.n, inst.k - 1):
         wb = sum(beta)
@@ -179,12 +185,12 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
         raise PreconditionFailed(f"deg(P) = {P.degree} exceeds D = {D}")
     if not 2 <= ell < spec.q:
         raise PreconditionFailed(f"curve degree ell = {ell} must satisfy 2 <= ell < q")
-    for w in range(k):
-        if not ell * (D - w) < (M - w) * spec.q:
-            raise PreconditionFailed(
-                f"inequality ell*(D-w) < (M-w)*q fails at w = {w}: "
-                f"{ell * (D - w)} < {(M - w) * spec.q} is false"
-            )
+    w = _first_failing_w(spec.q, ell, k, D, M)
+    if w is not None:
+        raise PreconditionFailed(
+            f"inequality ell*(D-w) < (M-w)*q fails at w = {w}: "
+            f"{ell * (D - w)} < {(M - w) * spec.q} is false"
+        )
     chk = vanishes_with_mult(P, sorted(set(_surface_points(spec, a, rho, g))), M)
     if not chk.ok:
         raise PreconditionFailed(
@@ -220,16 +226,16 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
     return cert
 
 
-def _weighted_homogeneous_candidates(n: int, ell: int, m: int, cap: int):
-    """All alpha in Z_{>=0}^n with weighted degree m and |alpha| < cap, lex order."""
-    out = []
-    for an in range(m // ell + 1):
-        rest = m - ell * an
-        for head in compositions(n - 1, rest):
-            alpha = head + (an,)
-            if sum(alpha) < cap:
-                out.append(alpha)
-    return sorted(out)
+def _weighted_homogeneous_candidates(n: int, ell: int, m: int):
+    """All alpha in Z_{>=0}^n with weighted degree m, lex order; counted
+    before they are built.  Each alpha_n has C(m - ell*alpha_n + n-2, n-2)
+    of them, at least one."""
+    counts = (math.comb(m - ell * an + n - 2, n - 2) for an in range(m // ell + 1))
+    if m // ell >= _ENUM_GUARD or sum(counts) > _ENUM_GUARD:
+        raise SizeGuard(f"weighted degree {m} has over {_ENUM_GUARD} candidates, exceeds guard")
+    return sorted(
+        head + (an,) for an in range(m // ell + 1) for head in compositions(n - 1, m - ell * an)
+    )
 
 
 def check_proposition(
@@ -274,15 +280,14 @@ def check_proposition(
     subs = [SparsePoly.variable(spec, n - 1, i) for i in range(n - 1)] + [f]
     for trial in range(trials):
         m = rng.randint(1, cap - 1)
-        candidates = _weighted_homogeneous_candidates(n, ell, m, cap)
+        candidates = _weighted_homogeneous_candidates(n, ell, m)
         support = rng.sample(candidates, rng.randint(1, min(4, len(candidates))))
         terms = {alpha: rng.randrange(1, q) for alpha in support}
         Q = SparsePoly(spec, n, terms)
-        derivs = ((beta, hasse_derivative(Q, beta)) for beta in monomials_upto(n, k - 1))
         witness = next(
             (
                 (beta, rho)
-                for beta, deriv in derivs
+                for beta, deriv in derivatives(Q, k - 1)
                 if not deriv.is_zero()
                 for rho in range(1, q)
                 if not compose(deriv, [h.scale(rho) for h in subs]).is_zero()

@@ -24,28 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ArityMismatch, MixedFields, SizeGuard
-from .ffield import FieldElement, FieldSpec
+from .errors import ArityMismatch, SizeGuard
+from .ffield import FieldSpec
 from .mpoly import SparsePoly, binom_multi, monomials_upto
-from .multiplicity import vanishes_with_mult
+from .multiplicity import _point_codes, vanishes_with_mult
 
 _SYSTEM_GUARD = 10**8
-
-
-def _canon_points(spec: FieldSpec, arity: int, points):
-    out = set()
-    for pt in points:
-        codes = tuple(c.code if isinstance(c, FieldElement) else c for c in pt)
-        if len(codes) != arity:
-            raise ArityMismatch(f"point arity {len(codes)} vs {arity}")
-        for c in pt:
-            if isinstance(c, FieldElement) and c.spec != spec:
-                raise MixedFields("point coordinate from a different field")
-        for c in codes:
-            if not 0 <= c < spec.q:
-                raise ValueError(f"element code {c} out of range for q={spec.q}")
-        out.add(codes)
-    return sorted(out)
 
 
 @dataclass
@@ -63,7 +47,7 @@ class VanishProblem:
             raise ValueError("multiplicity M must be >= 1")
         if self.arity < 1:
             raise ArityMismatch(f"arity must be >= 1, got {self.arity}")
-        self.points = _canon_points(self.spec, self.arity, self.points)
+        self.points = sorted({_point_codes(self.spec, pt, self.arity) for pt in self.points})
 
     @property
     def unknown_count(self) -> int:

@@ -9,6 +9,7 @@ from ffkakeya.brkset import (
     BrkInstance,
     PerRho,
     PointSet,
+    _first_failing_w,
     generate_set,
     min_brk_search,
     proof_params,
@@ -104,6 +105,18 @@ class TestProofParams:
                     pp = proof_params(q, ell, mult * q)
                     for w in range(pp.k):
                         assert ell * (pp.D - w) < (pp.M - w) * q
+
+    def test_first_failing_w_matches_the_loop(self):
+        # the closed form shared with replay's derivs-zero check, against
+        # the loop over 0 <= w < k it replaces
+        for q in (3, 4, 5, 7):
+            for ell in range(2, q):
+                for k in range(-1, 7):
+                    for D in range(-3, 13):
+                        for M in range(-3, 13):
+                            want = next((w for w in range(k)
+                                         if not ell * (D - w) < (M - w) * q), None)
+                            assert _first_failing_w(q, ell, k, D, M) == want
 
 
 class TestGenerateSet:

@@ -286,6 +286,69 @@ def test_replay_derivs_zero_malformed(tmp_path, F7, capsys, changes, message):
     assert capsys.readouterr().err == message
 
 
+def test_replay_derivs_zero_huge_params_rejected_at_once(tmp_path, F7, capsys):
+    # the inequality is one closed-form comparison, and the vanishing check
+    # reads derivatives only up to deg P, however large k and M are
+    path = _derivs_zero_params(tmp_path, F7, params={"k": 3000000000, "D": 4, "M": 3000000000})
+    start = time.perf_counter()
+    assert main(["replay", "--check", "derivs-zero", "--params", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: PreconditionFailed: P does not vanish on the curve with multiplicity "
+        "3000000000: point (0, 0), beta (0, 2)\n"
+    )
+
+
+def test_replay_derivs_zero_with_zero_g_names_minus_inf(tmp_path, F7, capsys):
+    # deg 0 is the float -inf, and the message prints it as such
+    zero_g = poly_to_json(SparsePoly.zero(F7, 1))
+    assert main(["replay", "--check", "derivs-zero", "--params",
+                 _derivs_zero_params(tmp_path, F7, g=zero_g)]) == 2
+    assert capsys.readouterr().err == (
+        "error: PreconditionFailed: curve degree ell = -inf must satisfy 2 <= ell < q\n"
+    )
+
+
+def _f_file(tmp_path, q, n):
+    spec = field_for_q(q)
+    path = tmp_path / f"f_q{q}_n{n}.json"
+    exp = (2,) + (0,) * (n - 2)
+    path.write_text(json.dumps({"f": poly_to_json(SparsePoly(spec, n - 1, {exp: spec.one}))}))
+    return str(path)
+
+
+@pytest.mark.parametrize("check,q,k,message", [
+    ("key-lemma", 5, 3000000000,
+     "error: SizeGuard: 4500000001500000000 x 4 key-lemma table exceeds guard\n"),
+    ("proposition", 5, 3000000000,
+     "error: SizeGuard: weighted degree 10379303304 has over 1000000 candidates, exceeds guard\n"),
+])
+def test_replay_huge_k_rejected_at_once(tmp_path, capsys, check, q, k, message):
+    start = time.perf_counter()
+    assert main(["replay", "--check", check, "--q", str(q), "--k", str(k),
+                 "--params", _f_file(tmp_path, q, 2)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_replay_proposition_guard_rejects_only_oversized_candidates(tmp_path, capsys):
+    # over F_65521 a weighted degree has about m^3/12 candidates in four
+    # variables but m/2 in two: the first is rejected at once, the second runs
+    argv = ["replay", "--check", "proposition", "--q", "65521", "--k", "1", "--trials", "2"]
+    start = time.perf_counter()
+    assert main(argv + ["--n", "4", "--params", _f_file(tmp_path, 65521, 4)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: SizeGuard: weighted degree ")
+    assert main(argv + ["--n", "2", "--params", _f_file(tmp_path, 65521, 2)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 def test_replay_warmup(capsys):
     assert main(["replay", "--check", "warmup", "--q", "3", "--k", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)

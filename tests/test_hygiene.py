@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private name (`_x`) is referenced in its own module.
 
 `__init__.py` is skipped, because its imports are the package's exports.
 """
@@ -29,6 +30,28 @@ def _unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _unreferenced_privates(source: str) -> list:
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted(
+        (line, name) for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
@@ -37,3 +60,25 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom typing import List, Optional\n\nx: Optional[int] = os.sep\n"
     assert _unused_imports(source) == [(2, "List")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_names(path):
+    assert _unreferenced_privates(path.read_text()) == []
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    source = (
+        "_GUARD = 10\n"
+        "_STALE, _kept = 1, 2\n"
+        "__all__ = []\n"
+        "class _Infinite:\n"
+        "    _instance = None\n"
+        "def _helper():\n"
+        "    return _GUARD + _kept\n"
+        "def _left_over():\n"
+        "    _local = 1\n"
+        "def run():\n"
+        "    return _helper()\n"
+    )
+    assert _unreferenced_privates(source) == [(2, "_STALE"), (4, "_Infinite"), (8, "_left_over")]

@@ -11,6 +11,7 @@ from ffkakeya.mpoly import (
     binom_multi,
     compose,
     compositions,
+    derivatives,
     expand_shift,
     hasse_derivative,
     lex_compare,
@@ -221,6 +222,27 @@ def test_zero_degree_sentinel(F3):
     assert z.degree is NEG_INFINITY
     assert NEG_INFINITY < 0
     assert not NEG_INFINITY >= 0
+
+
+def test_zero_degree_is_minus_infinity(F3):
+    # a plain float, so arithmetic and min/max need no special case
+    z = SparsePoly.zero(F3, 2)
+    assert z.degree == -math.inf and repr(z.degree) == "-inf"
+    assert -NEG_INFINITY == math.inf
+    assert max(z.degree, 0) == 0
+
+
+def test_derivative_walk_is_degree_then_lex_up_to_deg(F5):
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        P = random_poly(rng, F5, n, 4)
+        deg = max(P.degree, -1)
+        for top, last in [(math.inf, deg), (1, min(1, deg)), (10**12, deg)]:
+            walk = list(derivatives(P, top))
+            assert [beta for beta, _ in walk] == monomials_upto(n, last)
+            assert all(D == hasse_derivative(P, beta) for beta, D in walk)
+    assert list(derivatives(SparsePoly.zero(F5, 2))) == []
 
 
 def test_json_round_trip(F9):
