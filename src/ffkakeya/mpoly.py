@@ -9,6 +9,7 @@ first differing coordinate.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import ArityMismatch, MixedFields, ZeroPolynomial
 from .ffield import FieldElement, FieldSpec, expect_json
@@ -44,16 +45,20 @@ def binom_multi(a, b) -> int:
     return out
 
 
-def compositions(n: int, total: int):
-    """All tuples in Z_{>=0}^n summing to `total`, in lex order."""
+def compositions(n: int, total: int) -> list:
+    """All tuples in Z_{>=0}^n summing to `total`, as a list in lex order.
+
+    Prefixes are extended one coordinate at a time, each paired with what is
+    left of `total`; the last coordinate takes the rest.  n = 1 gives
+    [(total,)] even for total < 0; n > 1 with total < 0 gives []."""
     if n == 1:
-        yield (total,)
-        return
+        return [(total,)]
     if n < 1:
         raise ArityMismatch(f"compositions need arity >= 1, got {n}")
-    for first in range(total + 1):
-        for rest in compositions(n - 1, total - first):
-            yield (first,) + rest
+    rows = [((), total)]
+    for _ in range(n - 1):
+        rows = [(head + (f,), left - f) for head, left in rows for f in range(left + 1)]
+    return [head + (left,) for head, left in rows]
 
 
 def monomials_upto(n: int, max_degree: int):
@@ -68,7 +73,10 @@ def monomials_upto(n: int, max_degree: int):
 
 
 class SparsePoly:
-    """Immutable sparse polynomial; coefficients stored as field codes."""
+    """Immutable sparse polynomial; coefficients stored as field codes.
+
+    The constructor drops zero coefficients; `_raw` skips that filter for
+    dicts the caller knows hold none."""
 
     __slots__ = ("spec", "arity", "terms")
 
@@ -78,6 +86,15 @@ class SparsePoly:
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
     # -- constructors --
+
+    @classmethod
+    def _raw(cls, spec, arity, terms: dict) -> "SparsePoly":
+        """Wrap `terms` as is: no zero filter, so no zero coefficient allowed."""
+        P = object.__new__(cls)
+        P.spec = spec
+        P.arity = arity
+        P.terms = terms
+        return P
 
     @classmethod
     def zero(cls, spec, arity):
@@ -141,28 +158,28 @@ class SparsePoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return SparsePoly(self.spec, self.arity, terms)
+        return SparsePoly._raw(self.spec, self.arity, terms)
 
     def __neg__(self):
         neg = self.spec.neg
-        return SparsePoly(self.spec, self.arity, {e: neg(c) for e, c in self.terms.items()})
+        return SparsePoly._raw(self.spec, self.arity, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        add, mul = self.spec.add, self.spec.mul
+        add, mul, plus = self.spec.add, self.spec.mul, operator.add
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(plus, e1, e2))
                 s = add(terms.get(e, 0), mul(c1, c2))
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return SparsePoly(self.spec, self.arity, terms)
+        return SparsePoly._raw(self.spec, self.arity, terms)
 
     def scale(self, code: int) -> "SparsePoly":
         mul = self.spec.mul
@@ -220,27 +237,21 @@ def min_lex_exponent(f: SparsePoly):
 
 
 def hasse_derivative(P: SparsePoly, beta) -> SparsePoly:
-    """Termwise Hasse derivative: c_a * C(a, beta) * x^(a - beta)."""
+    """Termwise Hasse derivative: c_a * C(a, beta) * x^(a - beta).
+
+    a -> a - beta is injective, so no two terms meet and a term is kept
+    exactly when C(a, beta) is nonzero in the field."""
     beta = tuple(beta)
     if len(beta) != P.arity:
         raise ArityMismatch(f"beta arity {len(beta)} vs {P.arity}")
     spec = P.spec
-    add, mul = spec.add, spec.mul
+    mul, from_int, minus = spec.mul, spec.from_int, operator.sub
     terms = {}
     for alpha, c in P.terms.items():
-        bc = binom_multi(alpha, beta)
-        if bc == 0:
-            continue
-        bc_code = spec.from_int(bc)
-        if bc_code == 0:
-            continue
-        e = tuple(a - b for a, b in zip(alpha, beta))
-        s = add(terms.get(e, 0), mul(c, bc_code))
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-    return SparsePoly(spec, P.arity, terms)
+        bc = from_int(binom_multi(alpha, beta))
+        if bc:
+            terms[tuple(map(minus, alpha, beta))] = mul(c, bc)
+    return SparsePoly._raw(spec, P.arity, terms)
 
 
 def derivatives(P: SparsePoly, top=math.inf):

@@ -100,19 +100,23 @@ def key_lemma_table(inst: KeyLemmaInstance) -> dict:
     orders = math.comb(max(inst.k - 1 + inst.n, 0), inst.n)  # |beta| < k
     if orders * (spec.q - 1) > _ENUM_GUARD:
         raise SizeGuard(f"{orders} x {spec.q - 1} key-lemma table exceeds guard")
+    add, mul, pow_ = spec.add, spec.mul, spec.pow_
     table = {}
     for beta in monomials_upto(inst.n, inst.k - 1):
         wb = sum(beta)
+        # the rho-free factor c_alpha C(alpha, beta) b^(alpha_n - beta_n) of
+        # each term, with its power of rho
+        terms = []
+        for alpha in inst.exponents:
+            bc = binom_multi(alpha, beta)
+            if bc == 0:
+                continue
+            v = mul(inst.coeffs[alpha], spec.from_int(bc))
+            terms.append((mul(v, pow_(inst.b, alpha[-1] - beta[-1])), sum(alpha) - wb))
         for rho in range(1, spec.q):
             acc = 0
-            for alpha in inst.exponents:
-                bc = binom_multi(alpha, beta)
-                if bc == 0:
-                    continue
-                v = spec.mul(inst.coeffs[alpha], spec.from_int(bc))
-                v = spec.mul(v, spec.pow_(inst.b, alpha[-1] - beta[-1]))
-                v = spec.mul(v, spec.pow_(rho, sum(alpha) - wb))
-                acc = spec.add(acc, v)
+            for v, e in terms:
+                acc = add(acc, mul(v, pow_(rho, e)))
             table[(beta, rho)] = acc
     return table
 

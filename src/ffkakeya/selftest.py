@@ -38,7 +38,7 @@ def _random_poly(rng, spec, arity, max_degree, max_terms=8, nonzero=False):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         d = rng.randint(0, max_degree)
-        exp = tuple(rng.choice(list(compositions(arity, d))))
+        exp = tuple(rng.choice(compositions(arity, d)))
         terms[exp] = rng.randrange(spec.q)
     P = SparsePoly(spec, arity, terms)
     if nonzero and P.is_zero():
@@ -61,9 +61,10 @@ def hasse_oracle_check(seed: int = 0, polys_per_field: int = 500) -> Certificate
             n = rng.randint(1, 3)
             P = _random_poly(rng, spec, n, rng.randint(0, 6))
             table = expand_shift(P)
+            zero = SparsePoly.zero(spec, n)
             for beta in monomials_upto(n, max(P.degree, 0)):
                 lhs = hasse_derivative(P, beta)
-                rhs = table.get(beta, SparsePoly.zero(spec, n))
+                rhs = table.get(beta, zero)
                 checked += 1
                 if lhs != rhs:
                     cert.verdict = "fail"
@@ -94,7 +95,7 @@ def multiplicity_lemmas_check(seed: int = 0, trials: int = 300) -> Certificate:
         spec = _field(rng.choice(qs))
         n = rng.randint(1, 3)
         P, a = _with_seeded_multiplicity(rng, spec, _random_poly(rng, spec, n, 4), n)
-        beta = tuple(rng.choice(list(compositions(n, rng.randint(0, 3)))))
+        beta = tuple(rng.choice(compositions(n, rng.randint(0, 3))))
         base = mult_at(P, a).mult
         derived = mult_at(hasse_derivative(P, beta), a).mult
         if not derived >= base - sum(beta):
@@ -123,7 +124,7 @@ def multiplicity_lemmas_check(seed: int = 0, trials: int = 300) -> Certificate:
         n = rng.randint(1, 3)
         P = _random_poly(rng, spec, n, 5)
         Q = _random_poly(rng, spec, n, 5)
-        beta = tuple(rng.choice(list(compositions(n, rng.randint(0, 4)))))
+        beta = tuple(rng.choice(compositions(n, rng.randint(0, 4))))
         if hasse_derivative(P + Q, beta) != hasse_derivative(P, beta) + hasse_derivative(Q, beta):
             cert.verdict = "fail"
             cert.witness = {"lemma": "additivity", "trial": t}
@@ -138,10 +139,11 @@ def vandermonde_check() -> Certificate:
     cert = Certificate("vandermonde", None, {"max_arity": 4, "max_total": 8, "max_w": 8})
     checked = 0
     for arity in range(1, 5):
+        betas = [compositions(arity, w) for w in range(9)]
         for d in range(9):
             for alpha in compositions(arity, d):
                 for w in range(9):
-                    total = sum(binom_multi(alpha, beta) for beta in compositions(arity, w))
+                    total = sum(binom_multi(alpha, beta) for beta in betas[w])
                     checked += 1
                     if total != math.comb(d, w):
                         cert.verdict = "fail"

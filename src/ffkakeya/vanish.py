@@ -21,12 +21,13 @@ fields keep list rows and the FieldSpec operations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard
 from .ffield import FieldSpec
-from .mpoly import SparsePoly, binom_multi, monomials_upto
+from .mpoly import SparsePoly, monomials_upto
 from .multiplicity import _point_codes, vanishes_with_mult
 
 _SYSTEM_GUARD = 10**8
@@ -92,23 +93,33 @@ def _columns(prob: VanishProblem) -> list:
 def _system_rows(prob: VanishProblem, cols: list):
     """Yield ((point, beta), row) point by point, betas in order within a point.
 
-    Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  The
-    binomials are tabulated once per beta and the monomial values a^gamma
-    once per point, so each entry costs one field multiplication.
+    Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  Per
+    beta, only alpha = beta + gamma with |gamma| <= D - |beta| can be nonzero:
+    those gamma are a prefix of the degree-then-lex columns.  Each binomial is
+    a product of C(x, y) mod p, x <= D and y < M, read from one table; the
+    monomial values a^gamma are computed once per point, so each entry costs
+    one field multiplication.
     """
     spec = prob.spec
+    n, D = prob.arity, prob.max_degree
     ncols = len(cols)
     col_index = {alpha: j for j, alpha in enumerate(cols)}
-    betas = monomials_upto(prob.arity, prob.mult - 1)
-    # per beta: (column, binomial code, column of alpha - beta) for nonzero binomials
+    binom = [[math.comb(x, y) % spec.p for y in range(prob.mult)] for x in range(D + 1)]
+    betas = monomials_upto(n, prob.mult - 1)
+    # per beta: (column of alpha, binomial code, column of gamma = alpha - beta)
+    # for the binomials that are nonzero mod p
     tables = []
     for beta in betas:
+        room = D - sum(beta)
         tab = []
-        for j, alpha in enumerate(cols):
-            bc = spec.from_int(binom_multi(alpha, beta))
+        for k, gamma in enumerate(cols[:math.comb(room + n, n) if room >= 0 else 0]):
+            alpha = tuple(map(operator.add, beta, gamma))
+            c = 1
+            for x, y in zip(alpha, beta):
+                c *= binom[x][y]
+            bc = spec.from_int(c)
             if bc:
-                gamma = tuple(x - y for x, y in zip(alpha, beta))
-                tab.append((j, bc, col_index[gamma]))
+                tab.append((col_index[alpha], bc, k))
         tables.append(tab)
     mul, one = spec.mul, spec.one
     for pt in prob.points:

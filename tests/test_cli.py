@@ -188,6 +188,9 @@ def test_selftest_certificates_deterministic_across_processes():
     lines = outs[0].splitlines()
     assert len(lines) == 11
     assert all(json.loads(line)["verdict"] == "pass" for line in lines)
+    # SHA-256 of all 11 seed-1 certificates, so any change in their bytes shows
+    assert hashlib.sha256(outs[0]).hexdigest() == \
+        "51c498acacaaed5404adc4283fcbb63da0bb19526442f086dbe884055b25d732"
 
 
 @pytest.mark.parametrize("q,count,degree,digest", [

@@ -208,13 +208,47 @@ class TestCompose:
                 assert out.degree <= P.degree * max(hmax, 1)
 
 
+def _compositions_oracle(n, total):
+    """The recursive generator `compositions` replaced; oracle for the list."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions_oracle(n - 1, total - first):
+            yield (first,) + rest
+
+
+def test_compositions_match_recursive_oracle():
+    for n in range(1, 6):
+        for total in range(-1, 13):
+            out = compositions(n, total)
+            assert isinstance(out, list)
+            assert out == list(_compositions_oracle(n, total)), (n, total)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_compositions_reject_arity_below_one(n):
-    # n < 1 must fail at once rather than recurse without end
+    # n < 1 fails at the call rather than recurse without end
     with pytest.raises(ArityMismatch):
-        list(compositions(n, 0))
+        compositions(n, 0)
     with pytest.raises(ArityMismatch):
         monomials_upto(n, 1)
+
+
+def test_unfiltered_results_hold_no_zero_coefficient(F2, F3, F4, F5, F7, F9):
+    # sums, negations, products and Hasse derivatives skip the constructor's
+    # zero filter; few exponents, so that terms collide and cancel
+    rng = random.Random(12)
+    for spec in (F2, F3, F4, F5, F7, F9):
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            P, Q = random_poly(rng, spec, n, 3), random_poly(rng, spec, n, 3)
+            beta = tuple(rng.randint(0, 2) for _ in range(n))
+            results = [P + Q, P + (-P), P - Q, -P, P * Q, P * P, Q * (-Q),
+                       hasse_derivative(P, beta), hasse_derivative(P * Q, beta)]
+            for R in results:
+                assert 0 not in R.terms.values()
+                assert R == SparsePoly(spec, n, dict(R.terms))
 
 
 def test_zero_degree_sentinel(F3):

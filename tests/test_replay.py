@@ -5,7 +5,8 @@ import random
 import pytest
 
 from ffkakeya.errors import NonPrime, NotMultipleOfQ, PreconditionFailed
-from ffkakeya.mpoly import SparsePoly, compositions
+from ffkakeya.ffield import field_for_q
+from ffkakeya.mpoly import SparsePoly, binom_multi, compositions, monomials_upto
 from ffkakeya.replay import (
     Certificate,
     KeyLemmaInstance,
@@ -66,6 +67,36 @@ class TestKeyLemma:
     def test_check_other_fields(self, F3, F9):
         assert check_key_lemma(30, F3, 2, 3, seed=4).verdict == "pass"
         assert check_key_lemma(30, F9, 3, 1, seed=5).verdict == "pass"
+
+    @staticmethod
+    def _table_oracle(inst):
+        """The loop over (beta, rho, alpha) that key_lemma_table replaced."""
+        spec = inst.spec
+        table = {}
+        for beta in monomials_upto(inst.n, inst.k - 1):
+            for rho in range(1, spec.q):
+                acc = 0
+                for alpha in inst.exponents:
+                    bc = binom_multi(alpha, beta)
+                    if bc == 0:
+                        continue
+                    v = spec.mul(inst.coeffs[alpha], spec.from_int(bc))
+                    v = spec.mul(v, spec.pow_(inst.b, alpha[-1] - beta[-1]))
+                    v = spec.mul(v, spec.pow_(rho, sum(alpha) - sum(beta)))
+                    acc = spec.add(acc, v)
+                table[(beta, rho)] = acc
+        return table
+
+    @pytest.mark.parametrize("q,n,k", [(3, 2, 3), (4, 2, 2), (5, 2, 2), (7, 3, 2), (9, 2, 2)])
+    def test_table_matches_loop_oracle(self, q, n, k):
+        spec = field_for_q(q)
+        rng = random.Random(q * 10 + n)
+        for _ in range(20):
+            totals = rng.sample(range(k * (q - 1)), rng.randint(1, 4))
+            exponents = [rng.choice(compositions(n, t)) for t in totals]
+            coeffs = {a: rng.randrange(q) for a in exponents}
+            inst = KeyLemmaInstance(spec, n, k, exponents, coeffs, rng.randrange(1, q))
+            assert key_lemma_table(inst) == self._table_oracle(inst)
 
 
 class TestDerivsZero:

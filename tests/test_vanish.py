@@ -5,6 +5,7 @@ import pytest
 
 from ffkakeya.errors import ArityMismatch, SizeGuard
 from ffkakeya.ffield import field_for_q, make_field
+from ffkakeya.mpoly import binom_multi
 from ffkakeya.multiplicity import vanishes_with_mult
 from ffkakeya.vanish import (
     VanishProblem,
@@ -259,6 +260,29 @@ def test_extension_field_path(F9):
     P = find_vanishing_poly(prob)
     assert P is not None
     assert vanishes_with_mult(P, prob.points, 1).ok
+
+
+@pytest.mark.parametrize("q,n,D,M", [
+    (3, 2, 4, 2), (3, 2, 3, 3), (3, 3, 3, 2), (3, 2, 3, 6),
+    (4, 2, 4, 2), (7, 2, 3, 3), (7, 1, 2, 5), (9, 2, 4, 3),
+])
+def test_system_entries_match_binomial_oracle(q, n, D, M):
+    # every entry against C(alpha, beta) * a^(alpha - beta) from binom_multi;
+    # over F_3 with D >= 3 some binomials vanish mod p (Lucas), and the cases
+    # with M > D + 1 have orders beta above every column
+    spec = field_for_q(q)
+    rng = random.Random(q * 100 + D * 10 + M)
+    points = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)}
+    points.add((0,) * n)
+    system = build_system(VanishProblem(spec, n, sorted(points), D, M))
+    assert len(system.rows) == len(points) * math.comb(M - 1 + n, n)
+    for (pt, beta), row in zip(system.row_index, system.rows):
+        for alpha, entry in zip(system.cols, row):
+            expected = spec.from_int(binom_multi(alpha, beta))
+            if expected:
+                for a, x, y in zip(pt, alpha, beta):
+                    expected = spec.mul(expected, spec.pow_(a, x - y))
+            assert entry == expected, (pt, beta, alpha)
 
 
 def test_system_json_dump(F3):
