@@ -258,27 +258,24 @@ def _distinct_level_masks(spec, g, points, lowers):
     """Per rho, {surface mask: first option index}, in option order.
 
     `points` is F_q^n in lex (rank) order.  Option i is (translation
-    points[i // L], lowers[i % L]) with L = len(lowers): a lex-major, then
-    lower coefficients.  The offsets
-    rho*(lam, g_rho(lam)) of each (rho != 0, lower part) are built once;
-    translating them by a is a lookup in the row bit[a][b] = 1 << rank(a+b)
-    of the point-translation table.  The offsets of one surface are
-    distinct points, so the sum of their bits is their union.
+    points[i // L], lowers[i % L]) with L = len(lowers).  At rho = 0 the
+    surface is the single point a = points[i], first given by option i * L.
+    For rho != 0 the L options at a = points[0] = 0 already give every
+    distinct surface, and give it first: with c = (a_1, ..., a_{n-1}) / rho,
+    substituting lam -> lam - c turns a + rho*(lam, g(lam) + low(lam)) into
+    a surface at the origin with lower part
+    g(lam - c) - g(lam) + low(lam - c) + a_n / rho, again of degree < ell.
+    The points of one surface are distinct, so the sum of their bits is
+    their union.
     """
     q = spec.q
-    offsets = [
-        [[_point_rank(pt, q) for pt in _surface_points(spec, points[0], rho, g + low)]
-         for low in lowers]
-        for rho in range(1, q)
-    ]
-    levels = [{} for _ in range(q)]
-    for ai, a in enumerate(points):
-        row = [1 << _point_rank(map(spec.add, a, b), q) for b in points]
-        base = ai * len(lowers)
-        levels[0].setdefault(row[0], base)  # rho = 0 is the single point a
-        for first, level_offsets in zip(levels[1:], offsets):
-            for li, offs in enumerate(level_offsets):
-                first.setdefault(sum(map(row.__getitem__, offs)), base + li)
+    levels = [{1 << i: i * len(lowers) for i in range(len(points))}]
+    for rho in range(1, q):
+        first = {}
+        for li, low in enumerate(lowers):
+            surface = _surface_points(spec, points[0], rho, g + low)
+            first.setdefault(sum(1 << _point_rank(pt, q) for pt in surface), li)
+        levels.append(first)
     return levels
 
 
