@@ -22,11 +22,13 @@ from .errors import (
     MixedFields,
     NotMultipleOfQ,
     SearchSpaceTooLarge,
+    SizeGuard,
 )
 from .ffield import FieldSpec, expect_json, prime_power
 from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
-_EXHAUSTIVE_GUARD = 10**8
+_EXHAUSTIVE_GUARD = 10**8  # raw configurations
+_GREEDY_GUARD = 10**7  # surface points evaluated
 
 
 @dataclass(frozen=True)
@@ -317,15 +319,23 @@ def min_brk_search(
         raise ValueError(f"unknown search mode {mode!r}")
     if mode == "greedy" and restarts < 1:
         raise ValueError("restarts must be >= 1")
+    # L = q^m lower parts.  As q^e >= 2^e, a long exponent e decides a
+    # guard before q^e is built.
+    m = math.comb(n + ell - 2, n - 1)
+    if mode == "exhaustive":
+        e = (n + m) * q  # configurations: (q^n L)^q
+        if e >= _EXHAUSTIVE_GUARD.bit_length() or q**e > _EXHAUSTIVE_GUARD:
+            raise SearchSpaceTooLarge(
+                f"{q}^{e} configurations exceed the exhaustive guard; use greedy"
+            )
+        configs = q**e
+    else:
+        e = m + n - 1  # surface points evaluated: (q - 1) L q^(n-1)
+        if e >= _GREEDY_GUARD.bit_length() or (q - 1) * q**e > _GREEDY_GUARD:
+            raise SizeGuard(f"{q - 1} x {q}^{e} surface points exceed the greedy guard")
     points = list(itertools.product(range(q), repeat=n))
     lowers = _lower_parts(spec, n, ell)
     options = [(a, lower) for a in points for lower in lowers]
-    configs = len(options) ** q
-    if mode == "exhaustive" and configs > _EXHAUSTIVE_GUARD:
-        raise SearchSpaceTooLarge(
-            f"{configs} configurations exceed the exhaustive guard; use greedy"
-        )
-
     levels = _distinct_level_masks(spec, g, points, lowers)
     rho_masks = [list(level) for level in levels]
     first_option = [list(level.values()) for level in levels]

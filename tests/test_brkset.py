@@ -24,6 +24,7 @@ from ffkakeya.errors import (
     NonPrime,
     NotMultipleOfQ,
     SearchSpaceTooLarge,
+    SizeGuard,
 )
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import SparsePoly, monomials_upto
@@ -241,6 +242,7 @@ class TestMinSearch:
         def fail(*args):
             raise AssertionError("masks built before the inputs were checked")
 
+        monkeypatch.setattr(brkset, "_lower_parts", fail)
         monkeypatch.setattr(brkset, "_distinct_level_masks", fail)
 
     def test_unknown_mode(self, F3, no_masks):
@@ -264,6 +266,27 @@ class TestMinSearch:
         for mode in ("greedy", "exhaustive"):
             with pytest.raises(exc, match=match):
                 min_brk_search(q, 2, 2, g, mode=mode)
+
+
+    @pytest.mark.parametrize("q,n,ell,mode,exc", [
+        (13, 3, 2, "exhaustive", SearchSpaceTooLarge),
+        (5, 2, 4, "exhaustive", SearchSpaceTooLarge),
+        (59, 2, 2, "greedy", SizeGuard),
+        (16, 3, 2, "greedy", SizeGuard),
+        (65521, 2, 2, "greedy", SizeGuard),
+        (65521, 2, 65520, "greedy", SizeGuard),
+    ])
+    def test_guards_refuse_before_masks(self, no_masks, q, n, ell, mode, exc):
+        g = SparsePoly.from_int_terms(field_for_q(q), n - 1, {(ell,) + (0,) * (n - 2): 1})
+        with pytest.raises(exc):
+            min_brk_search(q, n, ell, g, mode=mode)
+
+    @pytest.mark.parametrize("q,n", [(53, 2), (11, 3)])
+    def test_greedy_guard_lets_through(self, no_masks, q, n):
+        # (q - 1) q^(m + n - 1) surface points: 7.7e6 at q = 53, 1.6e6 at n = 3
+        g = SparsePoly.from_int_terms(field_for_q(q), n - 1, {(2,) + (0,) * (n - 2): 1})
+        with pytest.raises(AssertionError, match="^masks built"):
+            min_brk_search(q, n, 2, g, mode="greedy")
 
 
 def _oracle_surface_mask(spec, graph, a, rho):
@@ -310,6 +333,7 @@ class TestSurfaceMasks:
         (8, 2, 2, {(2,): 1}),
         (9, 2, 2, {(2,): 1}),
         (3, 3, 2, {(2, 0): 1, (1, 1): 2}),
+        (4, 3, 2, {(1, 1): 1}),
     ])
     def test_fast_masks_match_oracle(self, q, n, ell, g_terms):
         spec = field_for_q(q)

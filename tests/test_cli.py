@@ -127,6 +127,38 @@ def test_min_search_output_pinned(tmp_path, q, ell, mode, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("q,g_terms,digest", [
+    (3, {(2, 0): 1, (0, 2): 1}, "5330def71447d67dd96b2fe1bc12af35aa28b258f7e9e2ed9c6b40dc056d753f"),
+    # characteristic 2, mixed top form xy
+    (4, {(1, 1): 1}, "b869e45035a2f51146fba4cf4071d225c33f4514de3f70a7489b0a33a5c07bec"),
+])
+def test_min_search_output_pinned_n3(tmp_path, q, g_terms, digest):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(poly_to_json(SparsePoly.from_int_terms(field_for_q(q), 2, g_terms))))
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), "--seed", "0", "min-search", "--q", str(q), "--n", "3",
+                 "--ell", "2", "--g", str(gpath), "--mode", "greedy"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ell,mode,message", [
+    (2, "greedy", "SizeGuard: 65520 x 65521^3 surface points exceed the greedy guard"),
+    (65520, "greedy", "SizeGuard: 65520 x 65521^65521 surface points exceed the greedy guard"),
+    (65520, "exhaustive", "SearchSpaceTooLarge: 65521^4293066962 configurations exceed the "
+                          "exhaustive guard; use greedy"),
+])
+def test_min_search_guards_refuse_at_once(tmp_path, capsys, ell, mode, message):
+    # checked from counts: no point, lower part or mask is built
+    g = _g_file(tmp_path, 65521, ell)
+    start = time.perf_counter()
+    assert main(["min-search", "--q", "65521", "--n", "2", "--ell", str(ell), "--g", g,
+                 "--mode", mode]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _stdouts_under_hash_seeds(args, python_args=("-m", "ffkakeya.cli")):
     """stdout of `python <python_args> <args>` (by default `ffkakeya <args>`) in
     fresh processes with PYTHONHASHSEED 1 and 2."""
