@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -28,7 +29,7 @@ from .ffield import FieldSpec, expect_json, prime_power
 from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8  # raw configurations
-_GREEDY_GUARD = 10**7  # surface points evaluated
+_GREEDY_GUARD = 10**7  # surface points placed
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,29 @@ def verify_brk(S: PointSet, inst: BrkInstance) -> BrkVerify:
 
 
 def theorem_bound(q: int, n: int, ell: int) -> Tuple[Fraction, int]:
-    """Exact lower bound ((q-1)q)^n / ((ell+1)q - 2*ell)^n and its ceiling."""
+    """Exact lower bound ((q-1)q)^n / ((ell+1)q - 2*ell)^n and its ceiling.
+
+    The bases are divided by their gcd first, so num^n / den^n is already in
+    lowest terms.  As den < num, the numerator is the longest number the
+    bound prints; a numerator with more decimal digits than Python will
+    convert to a string is refused before any power is taken.
+    """
     if n < 2:
         raise DimensionMismatch("n must be >= 2")
     if not 2 <= ell < q:
         raise EllOutOfRange(f"need 2 <= ell < q, got ell={ell}, q={q}")
     prime_power(q)
-    value = Fraction(((q - 1) * q) ** n, ((ell + 1) * q - 2 * ell) ** n)
+    num, den = (q - 1) * q, (ell + 1) * q - 2 * ell
+    d = math.gcd(num, den)
+    num, den = num // d, den // d
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        top = 10**limit  # the least number of limit + 1 digits
+        # num^n >= 2^(n (b - 1)) for b = num.bit_length(): a long exponent
+        # decides before num^n is built, a short one leaves it small
+        if n * (num.bit_length() - 1) >= top.bit_length() or num**n >= top:
+            raise SizeGuard(f"bound numerator {num}^{n} exceeds {limit} digits")
+    value = Fraction(num**n, den**n)
     return value, math.ceil(value)
 
 
@@ -239,13 +256,6 @@ def proof_params(q: int, ell: int, k: int) -> ProofParams:
 # --- minimal-set search ---
 
 
-def _point_rank(codes, q: int) -> int:
-    r = 0
-    for c in codes:
-        r = r * q + c
-    return r
-
-
 def _lower_parts(spec, n, ell):
     """Every lower part of degree < ell, coefficients of `monomials_upto`
     in lex order."""
@@ -267,16 +277,31 @@ def _distinct_level_masks(spec, g, points, lowers):
     substituting lam -> lam - c turns a + rho*(lam, g(lam) + low(lam)) into
     a surface at the origin with lower part
     g(lam - c) - g(lam) + low(lam - c) + a_n / rho, again of degree < ell.
-    The points of one surface are distinct, so the sum of their bits is
-    their union.
+
+    The graph of g + low does not depend on rho, so it is evaluated once
+    per lam, as the ranks j*q + v of its points (lam, v), lam_j the j-th in
+    lex order.  Scaling by rho maps the point of rank r to the point whose
+    coordinates are rho times r's digits; `bits[r]` is that point's bit, so
+    a surface's mask is the sum of its graph's table bits.  The points of
+    one surface are distinct, so the sum is their union.
     """
     q = spec.q
+    lams = list(itertools.product(range(q), repeat=g.arity))
+    graphs = []
+    for low in lowers:
+        f = g + low
+        graphs.append([j * q + f.eval_codes(lam) for j, lam in enumerate(lams)])
     levels = [{1 << i: i * len(lowers) for i in range(len(points))}]
     for rho in range(1, q):
+        # one base-q digit (coordinate) per pass
+        scaled = [spec.mul(rho, c) for c in range(q)]
+        ranks = [0]
+        for _ in points[0]:
+            ranks = [r * q + s for r in ranks for s in scaled]
+        bits = [1 << r for r in ranks]
         first = {}
-        for li, low in enumerate(lowers):
-            surface = _surface_points(spec, points[0], rho, g + low)
-            first.setdefault(sum(1 << _point_rank(pt, q) for pt in surface), li)
+        for li, graph in enumerate(graphs):
+            first.setdefault(sum(map(bits.__getitem__, graph)), li)
         levels.append(first)
     return levels
 
@@ -330,7 +355,9 @@ def min_brk_search(
             )
         configs = q**e
     else:
-        e = m + n - 1  # surface points evaluated: (q - 1) L q^(n-1)
+        # surface points placed, one per (rho != 0, lower part, lam):
+        # (q - 1) L q^(n-1); only L q^(n-1) of them are evaluated
+        e = m + n - 1
         if e >= _GREEDY_GUARD.bit_length() or (q - 1) * q**e > _GREEDY_GUARD:
             raise SizeGuard(f"{q - 1} x {q}^{e} surface points exceed the greedy guard")
     points = list(itertools.product(range(q), repeat=n))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,32 @@ class TestTheoremBound:
         for q in (5, 7, 11):
             vals = [theorem_bound(q, 3, ell)[0] for ell in range(2, q)]
             assert vals == sorted(vals, reverse=True)
+
+    @pytest.mark.parametrize("q,n,ell", [(4, 2, 2), (4, 7, 3), (9, 5, 4), (16, 3, 8), (25, 4, 5)])
+    def test_reduced_bases_give_the_same_fraction(self, q, n, ell):
+        # (12, 8) at q = 4, ell = 2 share 4: the bound is (3/2)^n either way
+        value, ceiling = theorem_bound(q, n, ell)
+        assert value == Fraction(((q - 1) * q) ** n, ((ell + 1) * q - 2 * ell) ** n)
+        assert ceiling == math.ceil(value)
+
+    @pytest.mark.parametrize("limit,n,digits", [(4300, 3305, 4300), (640, 491, 639)])
+    def test_printable_numerator_limit(self, limit, n, digits):
+        # 20^n is the numerator at q = 5, ell = 2; 20^(n+1) has more than
+        # `limit` digits, the interpreter's int-string limit (4300 by default)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            value, _ = theorem_bound(5, n, 2)
+            assert len(str(value.numerator)) == digits
+            with pytest.raises(SizeGuard, match=f"^bound numerator 20\\^{n + 1} exceeds "
+                                                f"{limit} digits$"):
+                theorem_bound(5, n + 1, 2)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_huge_n_refused_before_any_power(self):
+        with pytest.raises(SizeGuard, match="^bound numerator 3\\^1000000000 exceeds "):
+            theorem_bound(4, 10**9, 2)
 
 
 class TestProofParams:
@@ -286,18 +313,26 @@ class TestMinSearch:
             min_brk_search(q, n, 2, g, mode="greedy")
 
 
+def _point_rank(codes, q):
+    """Rank of a point in the lex order of F_q^n: its codes as base-q digits."""
+    r = 0
+    for c in codes:
+        r = r * q + c
+    return r
+
+
 def _oracle_surface_mask(spec, graph, a, rho):
     """One option's surface, point by point through the field operations.
 
     `graph` lists (lam, g_rho(lam)) for every lam."""
     q = spec.q
     if rho == 0:
-        return 1 << brkset._point_rank(a, q)
+        return 1 << _point_rank(a, q)
     mask = 0
     for lam, value in graph:
         coords = [spec.add(ai, spec.mul(rho, li)) for ai, li in zip(a[:-1], lam)]
         coords.append(spec.add(a[-1], spec.mul(rho, value)))
-        mask |= 1 << brkset._point_rank(coords, q)
+        mask |= 1 << _point_rank(coords, q)
     return mask
 
 
@@ -342,6 +377,24 @@ class TestSurfaceMasks:
         assert [list(level.items()) for level in fast] == [
             list(level.items()) for level in oracle
         ]
+
+    @pytest.mark.parametrize("q,n,ell,g_terms", [
+        (7, 2, 2, {(2,): 3}),
+        (4, 3, 2, {(1, 1): 1}),
+        (9, 2, 3, {(3,): 1}),
+    ])
+    def test_each_graph_value_is_evaluated_once(self, monkeypatch, q, n, ell, g_terms):
+        # g + low at each lam serves every rho: at most L q^(n-1) evaluations
+        spec = field_for_q(q)
+        g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
+        points = list(itertools.product(range(q), repeat=n))
+        lowers = brkset._lower_parts(spec, n, ell)
+        calls = []
+        eval_codes = SparsePoly.eval_codes
+        monkeypatch.setattr(SparsePoly, "eval_codes",
+                            lambda f, point: calls.append(point) or eval_codes(f, point))
+        brkset._distinct_level_masks(spec, g, points, lowers)
+        assert 0 < len(calls) <= len(lowers) * q ** (n - 1)
 
     def test_distinct_surfaces_are_the_origin_options(self):
         # rho = 0: one point per translation a.  rho != 0: shifting lambda

@@ -116,6 +116,11 @@ def _g_file(tmp_path, q, ell):
     # characteristic 2
     (4, 2, "greedy", "fb0b54d18526188b59c1230914b0ae9601f33b4f2d71e2516b41376f40b0754c"),
     (8, 2, "greedy", "ce8ce39015a4cff6ce10a612afaecb70d49f461f9385874ed297864d6a7c3477"),
+    # extension fields: rho scales through the exp/log tables
+    (16, 2, "greedy", "13d7680b85bd39432fd1b47dee754da2e82e41bae701b616e668301f2d4958b1"),
+    (25, 2, "greedy", "f0cd006d39022a2d772c96ad5ba46ad6f78f31ef040fa5738e5b6c254dd54c3f"),
+    (27, 2, "greedy", "67064664bc267a6378c6be3cd4101459ea2873d22747a826d511935f2ee1504a"),
+    (8, 3, "greedy", "e971c552e1f0d920c40166442aec59f67a8a346bcab7e9e626da52873f4eb1ad"),
 ])
 def test_min_search_output_pinned(tmp_path, q, ell, mode, digest):
     # SHA-256 of the min-search JSON at seed 0: the witness rule (first
@@ -477,6 +482,26 @@ def test_bound_answers_for_huge_q_at_once(capsys, q):
     assert capsys.readouterr().out == (
         f"{value.numerator}/{value.denominator} (ceil {math.ceil(value)})\n"
     )
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--q", "5", "--n", "1000000000", "--ell", "2"],
+     "SizeGuard: bound numerator 20^1000000000 exceeds 4300 digits"),
+    (["bound", "--q", "5", "--n", "10000", "--ell", "2"],
+     "SizeGuard: bound numerator 20^10000 exceeds 4300 digits"),
+    (["min-search", "--q", "5", "--n", "300000", "--ell", "2", "--mode", "greedy"],
+     "SizeGuard: bound numerator 20^300000 exceeds 4300 digits"),
+])
+def test_bound_too_long_to_print_refused_at_once(tmp_path, capsys, argv, message):
+    # the bound is refused from the bases' sizes, before any power is taken
+    if argv[0] == "min-search":
+        argv = argv + ["--g", _g_file(tmp_path, 5, 2)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_replay_warmup_huge_k_reaches_system_guard_at_once(capsys):
