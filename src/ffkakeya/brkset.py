@@ -30,6 +30,7 @@ from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8  # raw configurations
 _GREEDY_GUARD = 10**7  # surface points placed
+_BOUND_DIGITS = 4300  # CPython's default int-string limit
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,9 @@ def theorem_bound(q: int, n: int, ell: int) -> Tuple[Fraction, int]:
     The bases are divided by their gcd first, so num^n / den^n is already in
     lowest terms.  As den < num, the numerator is the longest number the
     bound prints; a numerator with more decimal digits than Python will
-    convert to a string is refused before any power is taken.
+    convert to a string is refused before any power is taken.  With that
+    limit switched off (0), the cap is _BOUND_DIGITS, the interpreter's
+    default limit.
     """
     if n < 2:
         raise DimensionMismatch("n must be >= 2")
@@ -206,13 +209,12 @@ def theorem_bound(q: int, n: int, ell: int) -> Tuple[Fraction, int]:
     num, den = (q - 1) * q, (ell + 1) * q - 2 * ell
     d = math.gcd(num, den)
     num, den = num // d, den // d
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        top = 10**limit  # the least number of limit + 1 digits
-        # num^n >= 2^(n (b - 1)) for b = num.bit_length(): a long exponent
-        # decides before num^n is built, a short one leaves it small
-        if n * (num.bit_length() - 1) >= top.bit_length() or num**n >= top:
-            raise SizeGuard(f"bound numerator {num}^{n} exceeds {limit} digits")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _BOUND_DIGITS
+    top = 10**limit  # the least number of limit + 1 digits
+    # num^n >= 2^(n (b - 1)) for b = num.bit_length(): a long exponent
+    # decides before num^n is built, a short one leaves it small
+    if n * (num.bit_length() - 1) >= top.bit_length() or num**n >= top:
+        raise SizeGuard(f"bound numerator {num}^{n} exceeds {limit} digits")
     value = Fraction(num**n, den**n)
     return value, math.ceil(value)
 

@@ -31,6 +31,7 @@ from .multiplicity import vanishes_with_mult
 from .vanish import VanishProblem, nullspace_trivial
 
 _ENUM_GUARD = 10**6
+_TRIALS_GUARD = 10**4  # sampled instances per check
 
 
 @dataclass
@@ -100,6 +101,9 @@ def key_lemma_table(inst: KeyLemmaInstance) -> dict:
     orders = math.comb(max(inst.k - 1 + inst.n, 0), inst.n)  # |beta| < k
     if orders * (spec.q - 1) > _ENUM_GUARD:
         raise SizeGuard(f"{orders} x {spec.q - 1} key-lemma table exceeds guard")
+    # building an order in n variables copies its prefixes, up to n^2 entries
+    if orders * inst.n**2 > _ENUM_GUARD:
+        raise SizeGuard(f"{orders} orders in {inst.n} variables exceed guard")
     add, mul, pow_ = spec.add, spec.mul, spec.pow_
     table = {}
     for beta in monomials_upto(inst.n, inst.k - 1):
@@ -132,14 +136,22 @@ def _random_composition(rng, total, n):
     return tuple(parts)
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise PreconditionFailed(f"trials must be >= 1, got {trials}")
+    if trials > _TRIALS_GUARD:
+        raise SizeGuard(f"{trials} trials exceed guard of {_TRIALS_GUARD}")
+
+
 def check_key_lemma(trials: int, spec: FieldSpec, n: int, k: int, seed: int = 0) -> Certificate:
     """Contrapositive: any instance with some c_alpha != 0 must have a nonzero
     table entry; an all-zero table would falsify the statement."""
     q = spec.q
     if n < 1:
         raise DimensionMismatch(f"dimension n must be >= 1, got {n}")
-    if trials < 1:
-        raise PreconditionFailed(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
+    if n * n > _ENUM_GUARD:  # key_lemma_table's orders guard at one order, before any draw
+        raise SizeGuard(f"orders in {n} variables exceed guard")
     cap = k * (q - 1)
     if cap < 2:
         raise PreconditionFailed("k(q-1) >= 2 required so nonzero instances exist")
@@ -255,8 +267,7 @@ def check_proposition(
     every sampled nonzero weighted-homogeneous Q of degree < k(q-1) there
     must be rho != 0 and |beta| < k with Q^(beta)(rho*(s, f(s))) nonzero."""
     q = spec.q
-    if trials < 1:
-        raise PreconditionFailed(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if f.is_zero():
         raise PreconditionFailed("f must be nonzero")
     if f.arity != n - 1:

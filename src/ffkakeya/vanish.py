@@ -14,8 +14,9 @@ with w = bit_length(ncols*(p-1)^2 + p) + 1: wide enough that a column can
 take one update from every pivot before it is reduced mod p, so that no
 carry crosses into the next column.  Only the leading column is reduced as
 the row is scanned; each new pivot row is unpacked once, reduced and kept
-as a list, which is the basis the rest of the module reads.  Extension
-fields keep list rows and the FieldSpec operations.
+as a list, which is the basis the rest of the module reads.  Over an
+extension field a row stays a list and is updated in place through the
+field's exp/log tables, touching only the nonzero entries of each pivot.
 """
 
 from __future__ import annotations
@@ -170,6 +171,16 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     on, scaled so that the first is one (all entries before c are zero).
     Rows after the one that completes the rank are never read.
 
+    Over an extension field each row is copied once and reduced in place,
+    in the log domain of the field's tables (`_exp[k]` is g^k for a
+    primitive g, `_log` its inverse).  A new pivot row is scaled by the
+    inverse of its leading entry and kept in the basis, and with it the
+    (column, log) pair of every later nonzero entry.  Eliminating column c
+    with entry f takes ln = log(-f) once and adds exp[ln + log y] to the
+    row at each such column only, so the pivot's zeros cost nothing; in
+    characteristic 2 that addition is XOR.  Both logs are below q - 1, so
+    their sum indexes `_exp` without reduction.
+
     Over a prime field each row is packed into one int, slot j (w bits,
     low to high) holding column j, and reduced only where it must be.  A
     pivot row is stored fully reduced, so eliminating column c adds
@@ -184,22 +195,24 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     """
     basis = {}
     if spec.m > 1:
-        add, mul = spec.add, spec.mul
+        exp, log, q1 = spec._exp, spec._log, spec.q - 1
+        minus = 0 if spec.p == 2 else q1 // 2  # log of -1
+        add = operator.xor if spec.p == 2 else spec.add
+        sparse = {}  # pivot column -> (column, log) of each later nonzero entry
         for row in rows:
-            off, c = 0, 0  # row holds the entries from column off on
-            while True:
-                while c < ncols and not row[c - off]:
-                    c += 1
-                if c == ncols:
-                    break
-                piv = basis.get(c)
+            row = list(row)
+            for c, f in enumerate(row):
+                if not f:
+                    continue
+                piv = sparse.get(c)
                 if piv is None:
-                    inv = spec.inv(row[c - off])
-                    basis[c] = [mul(x, inv) for x in row[c - off:]]
+                    linv = q1 - log[f]
+                    basis[c] = tail = [exp[log[x] + linv] if x else 0 for x in row[c:]]
+                    sparse[c] = [(k, log[y]) for k, y in enumerate(tail[1:], c + 1) if y]
                     break
-                nf = spec.neg(row[c - off])
-                row = [add(x, mul(nf, y)) if y else x for x, y in zip(row[c - off:], piv)]
-                off = c
+                ln = (log[f] + minus) % q1  # row -= f * pivot, column c is now zero
+                for k, ly in piv:
+                    row[k] = add(row[k], exp[ln + ly])
             if len(basis) == ncols:
                 break
         return basis

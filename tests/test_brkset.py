@@ -97,6 +97,19 @@ class TestTheoremBound:
         finally:
             sys.set_int_max_str_digits(old)
 
+    def test_numerator_limit_without_int_string_limit(self):
+        # with the interpreter's limit switched off the cap is 4300 digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(theorem_bound(5, 3305, 2)[0].numerator)) == 4300
+            with pytest.raises(SizeGuard, match="^bound numerator 20\\^3306 exceeds 4300 digits$"):
+                theorem_bound(5, 3306, 2)
+            with pytest.raises(SizeGuard, match="^bound numerator 20\\^10000000 exceeds "):
+                theorem_bound(5, 10**7, 2)
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_huge_n_refused_before_any_power(self):
         with pytest.raises(SizeGuard, match="^bound numerator 3\\^1000000000 exceeds "):
             theorem_bound(4, 10**9, 2)

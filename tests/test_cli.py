@@ -375,6 +375,21 @@ def test_replay_huge_k_rejected_at_once(tmp_path, capsys, check, q, k, message):
     assert captured.err == message
 
 
+@pytest.mark.parametrize("n,k,message", [
+    (1938763, 1, "error: SizeGuard: orders in 1938763 variables exceed guard\n"),
+    (999, 2, "error: SizeGuard: 1000 orders in 999 variables exceed guard\n"),
+])
+def test_replay_key_lemma_wide_n_rejected_at_once(capsys, n, k, message):
+    # an order in n variables is built by copying its prefixes, about n^2 steps
+    start = time.perf_counter()
+    assert main(["replay", "--check", "key-lemma", "--q", "5", "--n", str(n),
+                 "--k", str(k)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_replay_proposition_guard_rejects_only_oversized_candidates(tmp_path, capsys):
     # over F_65521 a weighted degree has about m^3/12 candidates in four
     # variables but m/2 in two: the first is rejected at once, the second runs
@@ -525,6 +540,25 @@ def test_replay_rejects_trials_below_one(tmp_path, capsys, check, trials):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: PreconditionFailed: trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("check", ["key-lemma", "proposition"])
+def test_replay_refuses_trials_above_guard_at_once(tmp_path, capsys, check):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"f": poly_to_json(SparsePoly(field_for_q(5), 1, {(2,): 1}))}))
+    start = time.perf_counter()
+    assert main(["replay", "--check", check, "--q", "5", "--params", str(path),
+                 "--trials", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SizeGuard: 1000000000000 trials exceed guard of 10000\n"
+
+
+def test_replay_trials_at_guard_run(capsys):
+    assert main(["replay", "--check", "key-lemma", "--q", "3", "--n", "1", "--k", "1",
+                 "--trials", "10000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["steps"]) == 10000
 
 
 def test_out_writes_file_deterministically(tmp_path):

@@ -76,7 +76,7 @@ def _random_rows(rng, spec, nrows, ncols, rank_cap=None):
     return rows
 
 
-ORACLE_FIELDS = [2, 3, 4, 5, 7, 9, 25, 65521]
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 256, 729, 65521]
 
 
 def test_origin_system_kills_linear(F3):
@@ -180,7 +180,9 @@ def test_eliminate_matches_oracle(q):
         rows = _random_rows(rng, spec, nrows, ncols, rank_cap)
         for order in (rows, rng.sample(rows, len(rows))):
             want_rank, _, _ = _oracle_rref(order, spec)
+            before = [row[:] for row in order]
             basis = _eliminate(iter(order), spec, ncols)
+            assert order == before  # the caller's rows are not reduced in place
             assert len(basis) == want_rank
             for c, tail in basis.items():
                 assert tail[0] == spec.one and len(tail) == ncols - c
@@ -198,6 +200,20 @@ def test_eliminate_wide_dense_matches_oracle():
             [sum(c * x for c, x in zip(coeffs, col)) % spec.p for col in zip(*gens)]
             for coeffs in ([rng.randrange(spec.q) for _ in gens] for _ in range(2 * ncols))
         ]
+        want_rank, _, _ = _oracle_rref(rows, spec)
+        basis = _eliminate(iter(rows), spec, ncols)
+        assert len(basis) == want_rank == rank_cap
+        assert _null_vector(basis, spec, ncols) == _oracle_solution(rows, spec, ncols)
+
+
+@pytest.mark.parametrize("q", [256, 729])
+def test_eliminate_wide_dense_extension_matches_oracle(q):
+    # rows over F_2^8 and F_3^6 that combine dozens of generators are dense,
+    # so each elimination step updates a whole tail through the log tables
+    spec = field_for_q(q)
+    rng = random.Random(3000 + q)
+    for ncols, rank_cap in ((48, 44), (56, 55)):
+        rows = _random_rows(rng, spec, 2 * ncols, ncols, rank_cap)
         want_rank, _, _ = _oracle_rref(rows, spec)
         basis = _eliminate(iter(rows), spec, ncols)
         assert len(basis) == want_rank == rank_cap
