@@ -25,7 +25,7 @@ from .errors import (
     SearchSpaceTooLarge,
     SizeGuard,
 )
-from .ffield import FieldSpec, expect_json, prime_power
+from .ffield import FieldSpec, expect_json, field_from_json, prime_power
 from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8  # raw configurations
@@ -55,8 +55,6 @@ class PointSet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PointSet":
-        from .ffield import field_from_json
-
         spec = field_from_json(expect_json(doc, dict, "point set")["field"])
         n = expect_json(doc["n"], int, "n")
         if n < 1:
@@ -122,8 +120,6 @@ class BrkInstance:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BrkInstance":
-        from .ffield import field_from_json
-
         spec = field_from_json(expect_json(doc, dict, "instance")["field"])
         per_rho = {}
         for entry in expect_json(doc["per_rho"], list, "per_rho"):

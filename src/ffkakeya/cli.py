@@ -14,9 +14,9 @@ import sys
 from . import selftest
 from .brkset import BrkInstance, PointSet, generate_set, min_brk_search, theorem_bound, verify_brk
 from .errors import FFKakeyaError
-from .ffield import expect_json, field_for_q
+from .ffield import expect_json, field_for_q, field_from_json
 from .mpoly import poly_from_json, poly_to_json
-from .replay import check_key_lemma, check_proposition, check_warmup
+from .replay import check_derivs_zero, check_key_lemma, check_proposition, check_warmup
 from .vanish import VanishProblem, find_vanishing_poly
 
 DEFAULT_SEED = 12345
@@ -137,9 +137,6 @@ def _cmd_replay(args) -> int:
     elif name == "derivs-zero":
         if not args.params:
             raise FFKakeyaError("replay derivs-zero requires --params FILE")
-        from .replay import check_derivs_zero
-        from .ffield import field_from_json
-
         spec = field_from_json(params["field"])
         P = poly_from_json(params["P"], spec)
         g = poly_from_json(params["g"], spec)

@@ -14,11 +14,8 @@ testing and the table build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DivisionByZero,
-    MixedFields,
     NonPrime,
     ReducibleModulus,
     UnsupportedFieldSize,
@@ -153,14 +150,13 @@ def _is_irreducible(modulus, p: int) -> bool:
 class FieldSpec:
     """Description of F_q = F_p[t]/(modulus); immutable after construction.
 
-    Code-level arithmetic (`add`, `mul`, ...) operates on integer element
-    codes and is the workhorse for all polynomial computations.  Prime
-    fields compute mod p; extension fields look up powers of a primitive
-    element g: `_exp[k]` is the code of g^k for k in [0, 2(q-1)), so a sum
-    of two logs needs no reduction, `_log` inverts it on nonzero codes
-    (`None` at zero), and for odd p `_zech[k]` is the log of 1 + g^k
-    (`None` where 1 + g^k = 0).  In characteristic 2 the code bits are the
-    coefficients, so addition is XOR.
+    Elements are integer codes, and these methods (`add`, `mul`, ...) are
+    the only arithmetic on them.  Prime fields compute mod p; extension
+    fields look up powers of a primitive element g: `_exp[k]` is the code
+    of g^k for k in [0, 2(q-1)), so a sum of two logs needs no reduction,
+    `_log` inverts it on nonzero codes (`None` at zero), and for odd p
+    `_zech[k]` is the log of 1 + g^k (`None` where 1 + g^k = 0).  In
+    characteristic 2 the code bits are the coefficients, so addition is XOR.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "zero", "one", "_pow_basis", "_exp", "_log", "_zech")
@@ -228,9 +224,6 @@ class FieldSpec:
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow_(self, a: int, e: int) -> int:
         if a == 0:
@@ -309,9 +302,6 @@ class FieldSpec:
             return f"FieldSpec(F_{self.p})"
         return f"FieldSpec(F_{self.q} = F_{self.p}[t]/{list(self.modulus)})"
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, code)
-
     def to_json(self) -> dict:
         doc = {"p": self.p, "m": self.m}
         if self.m > 1:
@@ -330,57 +320,6 @@ class FieldSpec:
         if len(coeffs) != self.m:
             raise ValueError(f"element repr must have length {self.m}")
         return self.encode(coeffs)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_q, wrapping its spec and integer code."""
-
-    spec: FieldSpec
-    code: int
-
-    def _check(self, other: "FieldElement"):
-        if self.spec != other.spec:
-            raise MixedFields(f"{self.spec} vs {other.spec}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.code == 0:
-            raise DivisionByZero("division by zero element")
-        return FieldElement(self.spec, self.spec.div(self.code, other.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.code))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    @property
-    def coeffs(self):
-        return self.spec.decode(self.code)
-
-    def __repr__(self):
-        if self.spec.m == 1:
-            return f"F{self.spec.p}({self.code})"
-        return f"F{self.spec.q}{self.coeffs}"
 
 
 def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:

@@ -12,7 +12,7 @@ import math
 import operator
 
 from .errors import ArityMismatch, MixedFields, ZeroPolynomial
-from .ffield import FieldElement, FieldSpec, expect_json
+from .ffield import FieldSpec, expect_json, field_from_json
 
 _EXP_GUARD = 1 << 20
 NEG_INFINITY = -math.inf  # degree of the zero polynomial
@@ -226,14 +226,10 @@ class SparsePoly:
 
 
 def min_lex_exponent(f: SparsePoly):
-    """Lex-least exponent of a nonzero polynomial, with its coefficient."""
+    """Lex-least exponent of a nonzero polynomial, with its coefficient code."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has no least exponent")
-    best = None
-    for e in f.terms:
-        if best is None or lex_compare(e, best) < 0:
-            best = e
-    return best, FieldElement(f.spec, f.terms[best])
+    return min(f.terms.items())
 
 
 def hasse_derivative(P: SparsePoly, beta) -> SparsePoly:
@@ -334,8 +330,6 @@ def poly_to_json(P: SparsePoly) -> dict:
 
 
 def poly_from_json(doc: dict, spec: FieldSpec = None) -> SparsePoly:
-    from .ffield import field_from_json
-
     expect_json(doc, dict, "polynomial")
     if spec is None:
         spec = field_from_json(doc["field"])

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ArityMismatch, MixedFields, SizeGuard, ZeroPolynomial
-from .ffield import FieldElement, FieldSpec
+from .errors import ArityMismatch, SizeGuard, ZeroPolynomial
+from .ffield import FieldSpec
 from .mpoly import SparsePoly, derivatives
 
 _AUDIT_GUARD = 10**7
@@ -23,12 +23,9 @@ INFINITE = math.inf  # mult(0, a)
 
 
 def _point_codes(spec: FieldSpec, point, arity: int):
-    codes = tuple(c.code if isinstance(c, FieldElement) else c for c in point)
+    codes = tuple(point)
     if len(codes) != arity:
         raise ArityMismatch(f"point arity {len(codes)} vs {arity}")
-    for c in point:
-        if isinstance(c, FieldElement) and c.spec != spec:
-            raise MixedFields("point coordinates from a different field")
     for c in codes:
         if not 0 <= c < spec.q:
             raise ValueError(f"element code {c} out of range for q={spec.q}")

@@ -6,7 +6,6 @@ import pytest
 
 from ffkakeya.errors import (
     DivisionByZero,
-    MixedFields,
     NonPrime,
     ReducibleModulus,
     UnsupportedFieldSize,
@@ -26,14 +25,14 @@ TEST_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
 def test_prime_field_elements():
     F5 = make_field(5)
-    assert [F5.element(c).coeffs for c in range(5)] == [(0,), (1,), (2,), (3,), (4,)]
+    assert [F5.decode(c) for c in range(5)] == [(0,), (1,), (2,), (3,), (4,)]
 
 
 def test_f4_multiplication():
     # t * t = t + 1 in F_2[t]/(t^2 + t + 1)
     F4 = make_field(2, 2, [1, 1, 1])
-    t = F4.element(F4.encode((0, 1)))
-    assert (t * t).coeffs == (1, 1)
+    t = F4.encode((0, 1))
+    assert F4.decode(F4.mul(t, t)) == (1, 1)
 
 
 def test_nonprime_rejected():
@@ -63,70 +62,62 @@ def test_size_checked_before_primality():
 
 
 def test_named_arith_examples(F3, F5, F4):
-    assert (F5.element(1) / F5.element(2)).code == 3
-    assert (F3.element(2) + F3.element(2)).code == 1
-    assert (F3.element(1) - F3.element(2)).code == 2
-    t = F4.element(F4.encode((0, 1)))
-    assert (t * t).coeffs == (1, 1)
+    assert F5.mul(1, F5.inv(2)) == 3
+    assert F3.add(2, 2) == 1
+    assert F3.sub(1, 2) == 2
+    t = F4.encode((0, 1))
+    assert F4.decode(F4.mul(t, t)) == (1, 1)
 
 
 def test_division_by_zero(F5):
     with pytest.raises(DivisionByZero):
-        F5.element(1) / F5.element(0)
-
-
-def test_mixed_fields_rejected(F3, F5):
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-        with pytest.raises(MixedFields):
-            op(F3.element(1), F5.element(1))
+        F5.inv(0)
 
 
 @pytest.mark.parametrize("p,m", TEST_FIELDS)
 def test_random_triples_ring_laws(p, m):
     spec = make_field(p, m)
     rng = random.Random(1000 * p + m)
-    elems = [spec.element(c) for c in range(spec.q)]
+    add, mul = spec.add, spec.mul
     for _ in range(1000):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
+        a, b, c = (rng.randrange(spec.q) for _ in range(3))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
 
 
 @pytest.mark.parametrize("p,m", TEST_FIELDS)
 def test_inverses(p, m):
     spec = make_field(p, m)
-    one = spec.element(spec.one)
-    for a in [spec.element(c) for c in range(1, spec.q)]:
-        assert a * (one / a) == one
+    for a in range(1, spec.q):
+        assert spec.mul(a, spec.inv(a)) == spec.one
 
 
 @pytest.mark.parametrize("p,m", TEST_FIELDS + [(7, 2)])
 def test_frobenius(p, m):
     spec = make_field(p, m)
-    for a in [spec.element(c) for c in range(spec.q)]:
-        assert (a ** spec.q) == a
+    for a in range(spec.q):
+        assert spec.pow_(a, spec.q) == a
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)])
 def test_add_mul_closed(p, m):
     spec = make_field(p, m)
-    elems = [spec.element(c) for c in range(spec.q)]
-    assert len({e.code for e in elems}) == spec.q
-    assert elems[0].is_zero()
-    codes = {e.code for e in elems}
-    for a in elems:
-        for b in elems:
-            assert (a + b).code in codes
-            assert (a * b).code in codes
+    codes = range(spec.q)
+    assert len({spec.decode(c) for c in codes}) == spec.q
+    assert spec.decode(spec.zero) == (0,) * m
+    for a in codes:
+        for b in codes:
+            assert spec.add(a, b) in codes
+            assert spec.mul(a, b) in codes
 
 
 def test_field_json_round_trip(F9):
     doc = F9.to_json()
     assert field_from_json(doc) == F9
-    for e in [F9.element(c) for c in range(F9.q)]:
-        assert F9.element_from_json(F9.element_to_json(e.code)) == e.code
+    for c in range(F9.q):
+        assert F9.element_from_json(F9.element_to_json(c)) == c
 
 
 def test_field_for_q_prime_powers():
@@ -247,7 +238,7 @@ def _check_against_oracle(spec, pairs, bases):
         assert spec.sub(a, b) == _digitwise(spec, operator.sub, a, b), (a, b)
         assert spec.mul(a, b) == _slow_mul(spec, a, b), (a, b)
         if b:
-            assert _slow_mul(spec, spec.div(a, b), b) == a, (a, b)
+            assert _slow_mul(spec, spec.mul(a, spec.inv(b)), b) == a, (a, b)
     q = spec.q
     for a in bases:
         assert spec.neg(a) == _digitwise(spec, operator.neg, a), a

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private name (`_x`) is referenced in its own module.
+"""Source hygiene: every name a module imports is used in that module, every
+import sits at module level, and every module-level private name (`_x`) is
+referenced in its own module.
 
 `__init__.py` is skipped, because its imports are the package's exports.
 """
@@ -28,6 +29,16 @@ def _unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _function_imports(source: str) -> list:
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.update((node.lineno, alias.name) for alias in node.names)
+    return sorted(found)
 
 
 def _unreferenced_privates(source: str) -> list:
@@ -60,6 +71,26 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom typing import List, Optional\n\nx: Optional[int] = os.sep\n"
     assert _unused_imports(source) == [(2, "List")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert _function_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_function_local_import():
+    source = (
+        "import os\n"
+        "class Spec:\n"
+        "    def load(self):\n"
+        "        from .ffield import field_from_json\n"
+        "        return field_from_json\n"
+        "def run():\n"
+        "    def inner():\n"
+        "        import json, math\n"
+        "    return os.sep\n"
+    )
+    assert _function_imports(source) == [(4, "field_from_json"), (8, "json"), (8, "math")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -61,12 +61,12 @@ class TestMinLexExponent:
     def test_two_term(self, F3):
         f = SparsePoly.from_int_terms(F3, 2, {(2, 0): 1, (1, 1): 1})
         e, b = min_lex_exponent(f)
-        assert e == (1, 1) and b.code == 1
+        assert e == (1, 1) and b == 1
 
     def test_single_term(self, F5):
         f = SparsePoly.from_int_terms(F5, 1, {(4,): 2})
         e, b = min_lex_exponent(f)
-        assert e == (4,) and b.code == 2
+        assert e == (4,) and b == 2
 
     def test_zero_polynomial(self, F5):
         with pytest.raises(ZeroPolynomial):
@@ -84,7 +84,7 @@ class TestMinLexExponent:
                 k = rng.randint(1, 5)
                 ek, bk = min_lex_exponent(f**k)
                 assert ek == tuple(k * x for x in e)
-                assert bk == b**k
+                assert bk == spec.pow_(b, k)
 
     def test_shift_lemma(self, F5):
         rng = random.Random(12)
