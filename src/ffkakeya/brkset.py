@@ -30,6 +30,7 @@ from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8  # raw configurations
 _GREEDY_GUARD = 10**7  # surface points placed
+_RESTARTS = 5  # greedy passes, each with its own level order
 _BOUND_DIGITS = 4300  # CPython's default int-string limit
 
 
@@ -161,11 +162,7 @@ def generate_set(inst: BrkInstance) -> PointSet:
     spec = inst.spec
     pts = set()
     for rho in range(spec.q):
-        pr = inst.per_rho[rho]
-        if rho == 0:
-            pts.add(pr.a)
-            continue
-        pts.update(_surface_points(spec, pr.a, rho, inst.g_rho(rho)))
+        pts.update(_surface_points(spec, inst.per_rho[rho].a, rho, inst.g_rho(rho)))
     return PointSet(spec, inst.n, frozenset(pts))
 
 
@@ -180,11 +177,8 @@ def verify_brk(S: PointSet, inst: BrkInstance) -> BrkVerify:
         raise MixedFields("set and instance over different fields")
     if S.n != inst.n:
         raise DimensionMismatch(f"set dimension {S.n} vs instance {inst.n}")
-    required = generate_set(inst)
-    for pt in required.sorted_points():
-        if pt not in S.points:
-            return BrkVerify(False, pt)
-    return BrkVerify(True)
+    missing = min(generate_set(inst).points - S.points, default=None)
+    return BrkVerify(missing is None, missing)
 
 
 def theorem_bound(q: int, n: int, ell: int) -> Tuple[Fraction, int]:
@@ -304,6 +298,30 @@ def _distinct_level_masks(spec, g, points, lowers):
     return levels
 
 
+def _greedy(levels, rng):
+    """(size, first option per rho) of the best of _RESTARTS greedy passes.
+
+    Each pass visits the levels in a shuffled order and takes at each the
+    first surface whose union with those taken so far is strictly least."""
+    best_size = best_first = None
+    for _ in range(_RESTARTS):
+        order = list(range(len(levels)))
+        rng.shuffle(order)
+        acc = 0
+        first = [None] * len(levels)
+        for rho in order:
+            best_option, best_mask = None, None
+            for mask, option in levels[rho].items():
+                u = acc | mask
+                if best_mask is None or u.bit_count() < best_mask.bit_count():
+                    best_option, best_mask = option, u
+            acc = best_mask
+            first[rho] = best_option
+        if best_size is None or acc.bit_count() < best_size:
+            best_size, best_first = acc.bit_count(), first
+    return best_size, best_first
+
+
 @dataclass
 class MinSearchResult:
     mode: str
@@ -316,20 +334,14 @@ class MinSearchResult:
 
 
 def min_brk_search(
-    q: int,
-    n: int,
-    ell: int,
-    g: SparsePoly,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    restarts: int = 5,
+    q: int, n: int, ell: int, g: SparsePoly, mode: str = "exhaustive", seed: int = 0
 ) -> MinSearchResult:
     """Smallest |generate_set| over all translation / lower-part choices.
 
     Exhaustive mode is exact (guarded); greedy mode gives an upper bound
-    via marginal-new-points selection with seeded restarts.  Both search
-    each level's distinct surfaces only; a witness names the first option,
-    in canonical order, that gives its surface.
+    via marginal-new-points selection, the best of _RESTARTS seeded passes.
+    Both search each level's distinct surfaces only; a witness names the
+    first option, in canonical order, that gives its surface.
     """
     if g.spec.q != q:
         raise MixedFields(f"g is over F_{g.spec.q}, search requested for F_{q}")
@@ -340,8 +352,6 @@ def min_brk_search(
     _check_top_form(spec, n, ell, g)
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "greedy" and restarts < 1:
-        raise ValueError("restarts must be >= 1")
     # L = q^m lower parts.  As q^e >= 2^e, a long exponent e decides a
     # guard before q^e is built.
     m = math.comb(n + ell - 2, n - 1)
@@ -351,53 +361,25 @@ def min_brk_search(
             raise SearchSpaceTooLarge(
                 f"{q}^{e} configurations exceed the exhaustive guard; use greedy"
             )
-        configs = q**e
+        run = {"configurations": q**e}
     else:
         # surface points placed, one per (rho != 0, lower part, lam):
         # (q - 1) L q^(n-1); only L q^(n-1) of them are evaluated
         e = m + n - 1
         if e >= _GREEDY_GUARD.bit_length() or (q - 1) * q**e > _GREEDY_GUARD:
             raise SizeGuard(f"{q - 1} x {q}^{e} surface points exceed the greedy guard")
+        run = {"seed": seed, "restarts": _RESTARTS}
     points = list(itertools.product(range(q), repeat=n))
     lowers = _lower_parts(spec, n, ell)
     options = [(a, lower) for a in points for lower in lowers]
     levels = _distinct_level_masks(spec, g, points, lowers)
-    rho_masks = [list(level) for level in levels]
-    first_option = [list(level.values()) for level in levels]
-
-    def witness_of(choice):
-        per_rho = {rho: PerRho(*options[first_option[rho][i]]) for rho, i in choice}
-        return BrkInstance(spec, n, ell, g, per_rho)
-
     if mode == "exhaustive":
-        min_size, idx = kernels.min_union(rho_masks)
-        witness = witness_of(enumerate(idx))
-        assert min_size == len(generate_set(witness))
-        assert min_size >= ceiling, "theorem bound violated: implementation bug"
-        return MinSearchResult("exhaustive", min_size, witness, ceiling, configurations=configs)
-
-    rng = random.Random(seed)
-    best_size = None
-    best_choice = None
-    for _ in range(restarts):
-        order = list(range(q))
-        rng.shuffle(order)
-        acc = 0
-        choice = {}
-        for rho in order:
-            best_i, best_mask = None, None
-            for i, mask in enumerate(rho_masks[rho]):
-                u = acc | mask
-                if best_mask is None or u.bit_count() < best_mask.bit_count():
-                    best_i, best_mask = i, u
-            acc = best_mask
-            choice[rho] = best_i
-        size = acc.bit_count()
-        if best_size is None or size < best_size:
-            best_size, best_choice = size, choice
-    witness = witness_of(best_choice.items())
-    assert best_size == len(generate_set(witness))
-    assert best_size >= ceiling, "theorem bound violated: implementation bug"
-    return MinSearchResult(
-        "greedy", best_size, witness, ceiling, seed=seed, restarts=restarts
-    )
+        size, idx = kernels.min_union([list(level) for level in levels])
+        first = [list(level.values())[i] for level, i in zip(levels, idx)]
+    else:
+        size, first = _greedy(levels, random.Random(seed))
+    per_rho = {rho: PerRho(*options[i]) for rho, i in enumerate(first)}
+    witness = BrkInstance(spec, n, ell, g, per_rho)
+    assert size == len(generate_set(witness))
+    assert size >= ceiling, "theorem bound violated: implementation bug"
+    return MinSearchResult(mode, size, witness, ceiling, **run)

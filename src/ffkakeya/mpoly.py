@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import ArityMismatch, MixedFields, ZeroPolynomial
+from .errors import ArityMismatch, MixedFields, SizeGuard, ZeroPolynomial
 from .ffield import FieldSpec, expect_json, field_from_json
 
 _EXP_GUARD = 1 << 20
@@ -40,7 +40,7 @@ def binom_multi(a, b) -> int:
         if y > x:
             return 0
         if x >= _EXP_GUARD:
-            raise OverflowError(f"exponent {x} exceeds guard {_EXP_GUARD}")
+            raise SizeGuard(f"exponent {x} exceeds guard {_EXP_GUARD}")
         out *= math.comb(x, y)
     return out
 

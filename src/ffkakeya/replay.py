@@ -207,12 +207,19 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
             f"inequality ell*(D-w) < (M-w)*q fails at w = {w}: "
             f"{ell * (D - w)} < {(M - w) * spec.q} is false"
         )
+    # each walk lists its orders before reading the first: count them first
+    orders = math.comb(max(min(M - 1, P.degree) + n, 0), n)  # |beta| <= min(M-1, deg P)
+    if orders > _ENUM_GUARD:
+        raise SizeGuard(f"{orders} derivative orders for multiplicity {M} exceed guard")
     chk = vanishes_with_mult(P, sorted(set(_surface_points(spec, a, rho, g))), M)
     if not chk.ok:
         raise PreconditionFailed(
             f"P does not vanish on the curve with multiplicity {M}: "
             f"point {chk.point}, beta {chk.beta}"
         )
+    orders = math.comb(max(k - 1 + n, 0), n)  # |beta| < k
+    if orders > _ENUM_GUARD:
+        raise SizeGuard(f"{orders} derivative orders below k = {k} exceed guard")
     subs = []
     for i in range(n - 1):
         var = SparsePoly.variable(spec, n - 1, i).scale(rho)

@@ -224,7 +224,7 @@ def brk_bound_check(seed: int = 0) -> Certificate:
     )
     spec5 = _field(5)
     g5 = SparsePoly(spec5, 1, {(2,): spec5.one})
-    res5 = min_brk_search(5, 2, 2, g5, mode="greedy", seed=seed, restarts=5)
+    res5 = min_brk_search(5, 2, 2, g5, mode="greedy", seed=seed)
     cert.steps.append(
         {"q": 5, "mode": "greedy", "min_size": res5.min_size,
          "bound_ceiling": res5.bound_ceiling}

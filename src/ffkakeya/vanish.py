@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard
 from .ffield import FieldSpec
-from .mpoly import SparsePoly, monomials_upto
+from .mpoly import SparsePoly, compositions, monomials_upto
 from .multiplicity import _point_codes, vanishes_with_mult
 
 _SYSTEM_GUARD = 10**8
@@ -97,23 +97,24 @@ def _system_rows(prob: VanishProblem, cols: list):
     Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  Per
     beta, only alpha = beta + gamma with |gamma| <= D - |beta| can be nonzero:
     those gamma are a prefix of the degree-then-lex columns.  Each binomial is
-    a product of C(x, y) mod p, x <= D and y < M, read from one table; the
-    monomial values a^gamma are computed once per point, so each entry costs
-    one field multiplication.
+    a product of C(x, y) mod p, x <= D and y <= min(M-1, D), read from one
+    table; the monomial values a^gamma are computed once per point, so each
+    entry costs one field multiplication.  An order |beta| > D has no such
+    alpha: its rows are all zero, yielded after the others without a table.
     """
     spec = prob.spec
     n, D = prob.arity, prob.max_degree
+    top = min(prob.mult - 1, D)
     ncols = len(cols)
     col_index = {alpha: j for j, alpha in enumerate(cols)}
-    binom = [[math.comb(x, y) % spec.p for y in range(prob.mult)] for x in range(D + 1)]
-    betas = monomials_upto(n, prob.mult - 1)
+    binom = [[math.comb(x, y) % spec.p for y in range(top + 1)] for x in range(D + 1)]
+    betas = monomials_upto(n, top)
     # per beta: (column of alpha, binomial code, column of gamma = alpha - beta)
     # for the binomials that are nonzero mod p
     tables = []
     for beta in betas:
-        room = D - sum(beta)
         tab = []
-        for k, gamma in enumerate(cols[:math.comb(room + n, n) if room >= 0 else 0]):
+        for k, gamma in enumerate(cols[:math.comb(D - sum(beta) + n, n)]):
             alpha = tuple(map(operator.add, beta, gamma))
             c = 1
             for x, y in zip(alpha, beta):
@@ -141,6 +142,9 @@ def _system_rows(prob: VanishProblem, cols: list):
             for j, bc, k in tab:
                 row[j] = mul(bc, values[k])
             yield (pt, beta), row
+        for order in range(top + 1, prob.mult):
+            for beta in compositions(n, order):
+                yield (pt, beta), [0] * ncols
 
 
 def build_system(prob: VanishProblem) -> LinearSystem:

@@ -258,13 +258,13 @@ class TestMinSearch:
 
     def test_greedy_q3_at_least_exhaustive(self, F3):
         g = SparsePoly(F3, 1, {(2,): F3.one})
-        res = min_brk_search(3, 2, 2, g, mode="greedy", seed=1, restarts=5)
+        res = min_brk_search(3, 2, 2, g, mode="greedy", seed=1)
         assert res.min_size >= 4
         assert len(generate_set(res.witness)) == res.min_size
 
     def test_greedy_q5(self, F5):
         g = SparsePoly(F5, 1, {(2,): F5.one})
-        res = min_brk_search(5, 2, 2, g, mode="greedy", seed=0, restarts=3)
+        res = min_brk_search(5, 2, 2, g, mode="greedy", seed=0)
         assert res.min_size >= res.bound_ceiling == 4
 
     def test_exhaustive_guard(self, F5):
@@ -289,11 +289,6 @@ class TestMinSearch:
         g = SparsePoly(F3, 1, {(2,): F3.one})
         with pytest.raises(ValueError):
             min_brk_search(3, 2, 2, g, mode="annealing")
-
-    def test_greedy_needs_a_restart(self, F3, no_masks):
-        g = SparsePoly(F3, 1, {(2,): F3.one})
-        with pytest.raises(ValueError, match="^restarts must be >= 1$"):
-            min_brk_search(3, 2, 2, g, mode="greedy", restarts=0)
 
     @pytest.mark.parametrize("q,arity,terms,exc,match", [
         (9, 1, {(3,): 1}, ValueError, "^g must be homogeneous of degree 2$"),

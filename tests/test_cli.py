@@ -351,6 +351,26 @@ def test_replay_derivs_zero_with_zero_g_names_minus_inf(tmp_path, F7, capsys):
     )
 
 
+@pytest.mark.parametrize("exponent,params,message", [
+    # P's first derivative would meet the exponent guard; the count comes first
+    (1 << 20, {"k": 7, "D": 2000000, "M": 1000000},
+     "error: SizeGuard: 500000500000 derivative orders for multiplicity 1000000 exceed guard\n"),
+    # legal exponents, but 5 x 10^9 orders for the vanishing check
+    (100000, {"k": 7, "D": 200000, "M": 100000},
+     "error: SizeGuard: 5000050000 derivative orders for multiplicity 100000 exceed guard\n"),
+])
+def test_replay_derivs_zero_orders_guarded_at_once(tmp_path, F7, capsys, exponent, params,
+                                                   message):
+    P = poly_to_json(SparsePoly(F7, 2, {(exponent, 0): F7.one}))
+    path = _derivs_zero_params(tmp_path, F7, P=P, params=params)
+    start = time.perf_counter()
+    assert main(["replay", "--check", "derivs-zero", "--params", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def _f_file(tmp_path, q, n):
     spec = field_for_q(q)
     path = tmp_path / f"f_q{q}_n{n}.json"
@@ -402,6 +422,16 @@ def test_replay_proposition_guard_rejects_only_oversized_candidates(tmp_path, ca
     assert captured.err.startswith("error: SizeGuard: weighted degree ")
     assert main(argv + ["--n", "2", "--params", _f_file(tmp_path, 65521, 2)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+def test_replay_proposition_exponent_guard_is_one_line(tmp_path, capsys):
+    # seed 5 draws a weighted degree over 2^20, so Q's first Hasse derivative
+    # meets a binomial past the exponent guard
+    assert main(["--seed", "5", "replay", "--check", "proposition", "--q", "65521",
+                 "--k", "30", "--trials", "1", "--params", _f_file(tmp_path, 65521, 2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SizeGuard: exponent 1111574 exceeds guard 1048576\n"
 
 
 def test_replay_warmup(capsys):

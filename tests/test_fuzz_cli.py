@@ -5,6 +5,7 @@ never a traceback.  Only a `replay` verdict may exit 1."""
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +104,15 @@ def _flags(base, changes):
 def test_vanish_flags(set_file, changes):
     _exit_0_or_one_line(["vanish", "--set", set_file,
                          *_flags({"--degree": 3, "--mult": 2}, changes)])
+
+
+def test_vanish_high_mult_over_degree_zero_answers_at_once(set_file, capsys):
+    # 46 million rows, every order above 0 giving a zero row: the first row
+    # already makes the one-column rank full, so the rest are never built
+    start = time.perf_counter()
+    assert main(["vanish", "--set", set_file, "--degree", "0", "--mult", "4300"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "none\n"
 
 
 @FUZZ

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-import sits at module level, and every module-level private name (`_x`) is
-referenced in its own module.
+import sits at module level, every module-level private name (`_x`) is
+referenced in its own module, and every `raise` names an exception the CLI
+reports or an internal invariant.
 
 `__init__.py` is skipped, because its imports are the package's exports.
 """
@@ -11,10 +12,19 @@ from pathlib import Path
 import pytest
 
 import ffkakeya
+from ffkakeya import errors
 
 MODULES = sorted(
     p for p in Path(ffkakeya.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+
+
+# `cli.main` turns the package's errors and ValueError into exit 2; an
+# AssertionError is a broken invariant, a bug
+ALLOWED_RAISES = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.FFKakeyaError)
+} | {"ValueError", "AssertionError"}
 
 
 def _unused_imports(source: str) -> list:
@@ -113,3 +123,39 @@ def test_checker_flags_an_unreferenced_private_name():
         "    return _helper()\n"
     )
     assert _unreferenced_privates(source) == [(2, "_STALE"), (4, "_Infinite"), (8, "_left_over")]
+
+
+def _foreign_raises(source: str) -> list:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc) if exc is not None else "raise"
+            if name not in ALLOWED_RAISES:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raises_name_a_reported_exception(path):
+    assert _foreign_raises(path.read_text()) == []
+
+
+def test_checker_flags_a_foreign_raise():
+    source = (
+        "from . import errors\n"
+        "def check(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    if x > 9:\n"
+        "        raise SizeGuard(f'{x} exceeds guard') from None\n"
+        "    if x == 5:\n"
+        "        raise OverflowError\n"
+        "    if x == 6:\n"
+        "        raise errors.SizeGuard('qualified')\n"
+        "    try:\n"
+        "        assert x\n"
+        "    except AssertionError:\n"
+        "        raise\n"
+    )
+    assert _foreign_raises(source) == [(8, "OverflowError"), (10, "errors.SizeGuard"), (14, "raise")]

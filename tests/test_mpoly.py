@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffkakeya.errors import ArityMismatch, ZeroPolynomial
+from ffkakeya.errors import ArityMismatch, SizeGuard, ZeroPolynomial
 from ffkakeya.ffield import make_field
 from ffkakeya.mpoly import (
     NEG_INFINITY,
@@ -105,6 +105,13 @@ class TestBinomMulti:
     def test_examples(self):
         assert binom_multi((2, 1), (1, 0)) == 2
         assert binom_multi((1, 1), (2, 0)) == 0
+
+    def test_exponent_guard(self):
+        # a SizeGuard, which the CLI reports as one line with exit 2
+        assert binom_multi(((1 << 20) - 1,), (1,)) == (1 << 20) - 1
+        assert binom_multi((1 << 20,), ((1 << 20) + 1,)) == 0
+        with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+            binom_multi((1 << 20,), (0,))
 
     def test_vandermonde_small(self):
         total = sum(binom_multi((1, 1), b) for b in compositions(2, 1))

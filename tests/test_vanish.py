@@ -5,7 +5,7 @@ import pytest
 
 from ffkakeya.errors import ArityMismatch, SizeGuard
 from ffkakeya.ffield import field_for_q, make_field
-from ffkakeya.mpoly import binom_multi
+from ffkakeya.mpoly import binom_multi, monomials_upto
 from ffkakeya.multiplicity import vanishes_with_mult
 from ffkakeya.vanish import (
     VanishProblem,
@@ -299,6 +299,18 @@ def test_system_entries_match_binomial_oracle(q, n, D, M):
                 for a, x, y in zip(pt, alpha, beta):
                     expected = spec.mul(expected, spec.pow_(a, x - y))
             assert entry == expected, (pt, beta, alpha)
+
+
+@pytest.mark.parametrize("n,D,M", [(1, 2, 5), (2, 1, 4), (2, 0, 3), (3, 1, 3)])
+def test_rows_above_degree_keep_their_order(F5, n, D, M):
+    # orders |beta| > D have no table; their zero rows still follow each
+    # point's lower orders, degree-then-lex
+    points = [(0,) * n, (1,) * n, (2, 3, 4)[:n]]
+    system = build_system(VanishProblem(F5, n, points, D, M))
+    assert system.row_index == [(pt, beta) for pt in sorted(points)
+                                for beta in monomials_upto(n, M - 1)]
+    assert all(not any(row) for (_, beta), row in zip(system.row_index, system.rows)
+               if sum(beta) > D)
 
 
 def test_system_json_dump(F3):
