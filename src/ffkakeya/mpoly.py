@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import combinations_with_replacement
 
 from .errors import ArityMismatch, MixedFields, SizeGuard, ZeroPolynomial
 from .ffield import FieldSpec, expect_json, field_from_json
@@ -45,20 +46,45 @@ def binom_multi(a, b) -> int:
     return out
 
 
+def binom_multi_mod(a, b, p: int) -> int:
+    """binom_multi(a, b) % p for a prime p, by Lucas's theorem.
+
+    C(x, y) mod p is the product of the binomials of the base-p digits of x
+    and y; it is 0 when a digit of y exceeds that of x.  Checks and raises
+    as `binom_multi` does, in the same order."""
+    if len(a) != len(b):
+        raise ArityMismatch(f"arity {len(a)} vs {len(b)}")
+    out = 1
+    for x, y in zip(a, b):
+        if y > x:
+            return 0
+        if x >= _EXP_GUARD:
+            raise SizeGuard(f"exponent {x} exceeds guard {_EXP_GUARD}")
+        while y:
+            x, dx = divmod(x, p)
+            y, dy = divmod(y, p)
+            if dy > dx:
+                return 0
+            out = out * math.comb(dx, dy) % p
+    return out
+
+
 def compositions(n: int, total: int) -> list:
     """All tuples in Z_{>=0}^n summing to `total`, as a list in lex order.
 
-    Prefixes are extended one coordinate at a time, each paired with what is
-    left of `total`; the last coordinate takes the rest.  n = 1 gives
+    Stars and bars: the partial sums x_1, x_1 + x_2, ... of the first n - 1
+    parts are a multiset of size n - 1 from range(total + 1), and those
+    multisets in lex order give the tuples in lex order.  n = 1 gives
     [(total,)] even for total < 0; n > 1 with total < 0 gives []."""
     if n == 1:
         return [(total,)]
     if n < 1:
         raise ArityMismatch(f"compositions need arity >= 1, got {n}")
-    rows = [((), total)]
-    for _ in range(n - 1):
-        rows = [(head + (f,), left - f) for head, left in rows for f in range(left + 1)]
-    return [head + (left,) for head, left in rows]
+    last, first = (total,), (0,)
+    return [
+        tuple(map(operator.sub, sums + last, first + sums))
+        for sums in combinations_with_replacement(range(total + 1), n - 1)
+    ]
 
 
 def monomials_upto(n: int, max_degree: int):

@@ -20,7 +20,7 @@ from .ffield import FieldSpec, field_for_q
 from .mpoly import (
     SparsePoly,
     compositions,
-    binom_multi,
+    binom_multi_mod,
     hasse_derivative,
     compose,
     derivatives,
@@ -112,7 +112,7 @@ def key_lemma_table(inst: KeyLemmaInstance) -> dict:
         # each term, with its power of rho
         terms = []
         for alpha in inst.exponents:
-            bc = binom_multi(alpha, beta)
+            bc = binom_multi_mod(alpha, beta, spec.p)
             if bc == 0:
                 continue
             v = mul(inst.coeffs[alpha], spec.from_int(bc))

@@ -9,20 +9,25 @@ incremental row-echelon basis that stops reading rows once the rank equals
 the number of columns.  A solution, when one is needed, comes from
 back-substitution through that basis.
 
-Over a prime field a row is packed into one Python int, w bits per column,
-with w = bit_length(ncols*(p-1)^2 + p) + 1: wide enough that a column can
-take one update from every pivot before it is reduced mod p, so that no
-carry crosses into the next column.  Only the leading column is reduced as
-the row is scanned; each new pivot row is unpacked once, reduced and kept
-as a list, which is the basis the rest of the module reads.  Over an
-extension field a row stays a list and is updated in place through the
-field's exp/log tables, touching only the nonzero entries of each pivot.
+Over a prime field a row is packed into one Python int, one w-bit slot
+per column, with w the first of 16, 32 or 64 bits that holds
+bit_length(ncols*(p-1)^2 + p) + 1: wide enough that a column can take one
+update from every pivot before it is reduced mod p, so that no carry
+crosses into the next column.  Rows are packed and pivots unpacked through
+`array`, whose items have exactly those widths.  Only the leading column
+is reduced as the row is scanned; each new pivot row is unpacked once,
+reduced and kept as a list, which is the basis the rest of the module
+reads.  Over an extension field a row stays a list and is updated in place
+through the field's exp/log tables, touching only the nonzero entries of
+each pivot.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,7 +89,8 @@ class LinearSystem:
 
 
 def _columns(prob: VanishProblem) -> list:
-    if prob.unknown_count * prob.constraint_count > _SYSTEM_GUARD:
+    # an empty set still builds every column, so it counts as one constraint
+    if prob.unknown_count * max(prob.constraint_count, 1) > _SYSTEM_GUARD:
         raise SizeGuard(
             f"{prob.constraint_count} x {prob.unknown_count} system exceeds guard"
         )
@@ -156,16 +162,17 @@ def build_system(prob: VanishProblem) -> LinearSystem:
     return LinearSystem(prob.spec, cols, row_index, rows)
 
 
-class _SlotStrings(dict):
-    """The w-bit binary string of each residue, made on first use."""
+def _slot_type(ncols: int, p: int) -> str:
+    """The `array` typecode of the packed slots for ncols columns over F_p.
 
-    def __init__(self, w: int):
-        super().__init__()
-        self.fmt = f"0{w}b"
-
-    def __missing__(self, x: int) -> str:
-        bits = self[x] = format(x, self.fmt)
-        return bits
+    A slot needs need = bit_length(ncols*(p-1)^2 + p) + 1 bits (see
+    `_eliminate`), rounded up to the first of 16, 32 or 64 bits; the types
+    are chosen by itemsize, since that of "I" is not fixed.  p < 2^16
+    (`ffield.MAX_Q`) and ncols <= 10^8 (the system guard) keep need <= 60.
+    """
+    need = (ncols * (p - 1) ** 2 + p).bit_length() + 1
+    assert need <= 64, f"{ncols} columns over F_{p} need {need}-bit slots"
+    return next(t for t in "HIQ" if 8 * array(t).itemsize >= need)
 
 
 def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
@@ -190,12 +197,17 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     pivot row is stored fully reduced, so eliminating column c adds
     (p - f) * pivot, which has no subtraction and so never borrows.  A slot
     starts below p and gains at most (p-1)^2 from each of at most ncols
-    pivots, so it stays below ncols*(p-1)^2 + p: w is one bit more than
-    that needs, no carry ever crosses a slot, and the top bit of every slot
-    is clear.  The pivot column is the slot of the lowest set bit; only
-    that slot is reduced mod p, and a slot that is 0 mod p is dropped.  A
-    new pivot row is unpacked once, reduced and scaled, and kept both as
-    the basis list and packed for later updates.
+    pivots, so it stays below ncols*(p-1)^2 + p.  w is at least one bit more
+    than that needs (`_slot_type`), so no carry ever crosses a slot and the
+    top bit of every slot is clear.  A row is packed as the bytes of an
+    `array` of its entries, read as one little-endian int, and a pivot's
+    tail is unpacked as the `array` of the int's bytes, so neither costs a
+    big-int operation per column.  Each step reads the low slot first; only
+    when it is zero does it jump to the slot of the lowest set bit, which is
+    exact because each slot's top bit is clear.  That slot alone is reduced
+    mod p, and dropped if it is 0 mod p.  A new pivot row is unpacked once,
+    reduced and scaled, and kept both as the basis list and packed for
+    later updates.
     """
     basis = {}
     if spec.m > 1:
@@ -221,21 +233,29 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
                 break
         return basis
     p = spec.p
-    w = (ncols * (p - 1) ** 2 + p).bit_length() + 1
+    code = _slot_type(ncols, p)
+    size = array(code).itemsize
+    w = 8 * size
     mask = (1 << w) - 1
-    slot = _SlotStrings(w)
+    swap = sys.byteorder == "big"  # slots are little-endian, `array` items native
 
     def pack(entries):
-        return int("".join([slot[x] for x in reversed(entries)]) or "0", 2)
+        items = array(code, entries)
+        if swap:
+            items.byteswap()
+        return int.from_bytes(items.tobytes(), "little")
 
     packed = {}
     for row in rows:
         r, c = pack(row), 0  # slot 0 of r holds column c
         while r:
-            s = (r & -r).bit_length() // w  # exact, as each slot's top bit is clear
-            r >>= s * w
-            c += s
-            f = (r & mask) % p
+            f = r & mask
+            if not f:  # jump over the zero slots to the lowest set bit
+                s = (r & -r).bit_length() // w  # exact, as each slot's top bit is clear
+                r >>= s * w
+                c += s
+                f = r & mask
+            f %= p
             if not f:
                 r >>= w
                 c += 1
@@ -243,7 +263,10 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
             piv = packed.get(c)
             if piv is None:
                 inv = spec.inv(f)
-                basis[c] = [(r >> k & mask) * inv % p for k in range(0, (ncols - c) * w, w)]
+                tail = array(code, r.to_bytes((ncols - c) * size, "little"))
+                if swap:
+                    tail.byteswap()
+                basis[c] = [x * inv % p for x in tail]
                 packed[c] = pack(basis[c])
                 break
             r = (r + (p - f) * piv) >> w

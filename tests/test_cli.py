@@ -495,6 +495,18 @@ def test_replay_key_lemma_rejects_dimension_below_one(capsys, n):
     assert captured.err == f"error: DimensionMismatch: dimension n must be >= 1, got {n}\n"
 
 
+def test_vanish_empty_set_reaches_system_guard_at_once(tmp_path, capsys):
+    # no points means no rows, but the columns alone would be C(300002, 2)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": {"p": 5, "m": 1}, "n": 2, "points": []}))
+    start = time.perf_counter()
+    assert main(["vanish", "--set", str(path), "--degree", "300000", "--mult", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SizeGuard: 0 x 45000450001 system exceeds guard\n"
+
+
 BIG_PRIME = 2**61 - 1  # trial division to its square root takes minutes
 
 

@@ -1,12 +1,15 @@
 """Source hygiene: every name a module imports is used in that module, every
 import sits at module level, every module-level private name (`_x`) is
-referenced in its own module, and every `raise` names an exception the CLI
-reports or an internal invariant.
+referenced in its own module, every `raise` names an exception the CLI
+reports or an internal invariant, and every import is relative or names a
+standard-library module, since the package declares no dependencies.
 
-`__init__.py` is skipped, because its imports are the package's exports.
+Only that last check reads `__init__.py`, because its imports are the
+package's exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,8 @@ import pytest
 import ffkakeya
 from ffkakeya import errors
 
-MODULES = sorted(
-    p for p in Path(ffkakeya.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(ffkakeya.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 # `cli.main` turns the package's errors and ValueError into exit 2; an
@@ -81,6 +83,41 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom typing import List, Optional\n\nx: Optional[int] = os.sep\n"
     assert _unused_imports(source) == [(2, "List")]
+
+
+def _foreign_imports(source: str) -> list:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.update(
+            (node.lineno, name) for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    assert _foreign_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_foreign_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from array import array\n"
+        "from . import errors\n"
+        "from .mpoly import SparsePoly\n"
+        "from sympy.ntheory import isprime\n"
+        "def run():\n"
+        "    import gmpy2\n"
+    )
+    assert _foreign_imports(source) == [(2, "numpy"), (6, "sympy.ntheory"), (8, "gmpy2")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

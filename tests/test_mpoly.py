@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from ffkakeya.mpoly import (
     NEG_INFINITY,
     SparsePoly,
     binom_multi,
+    binom_multi_mod,
     compose,
     compositions,
     derivatives,
@@ -112,6 +114,24 @@ class TestBinomMulti:
         assert binom_multi((1 << 20,), ((1 << 20) + 1,)) == 0
         with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
             binom_multi((1 << 20,), (0,))
+
+    def test_mod_p_matches_exact(self):
+        rng = random.Random(41)
+        for p in (2, 3, 5, 7, 251, 65521):
+            for _ in range(200):
+                n = rng.randint(1, 3)
+                a = tuple(rng.randrange(3000) for _ in range(n))
+                b = tuple(rng.randrange(x + 2) for x in a)
+                assert binom_multi_mod(a, b, p) == binom_multi(a, b) % p, (a, b, p)
+
+    def test_mod_p_checks_as_exact_does(self):
+        # the arity check first, then per coordinate b_i > a_i before the guard
+        with pytest.raises(ArityMismatch):
+            binom_multi_mod((1, 2), (1,), 5)
+        assert binom_multi_mod((1 << 20,), ((1 << 20) + 1,), 5) == 0
+        assert binom_multi_mod((3, 1 << 20), (4, 0), 5) == 0
+        with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+            binom_multi_mod((1 << 20,), (0,), 5)
 
     def test_vandermonde_small(self):
         total = sum(binom_multi((1, 1), b) for b in compositions(2, 1))
@@ -231,6 +251,13 @@ def test_compositions_match_recursive_oracle():
             out = compositions(n, total)
             assert isinstance(out, list)
             assert out == list(_compositions_oracle(n, total)), (n, total)
+
+
+def test_compositions_match_brute_force():
+    for n in range(1, 6):
+        for total in range(8):
+            want = [e for e in itertools.product(range(total + 1), repeat=n) if sum(e) == total]
+            assert compositions(n, total) == want, (n, total)
 
 
 @pytest.mark.parametrize("n", [0, -1])

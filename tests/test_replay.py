@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -197,11 +198,22 @@ class TestWarmup:
         (5, 5, "b80b79ab0c760756a056afd3b5bc3e99bc298f85c34e3e562baa42d474674ab8"),
         (3, 12, "2ec4e2b11432083a625e6949fbe20e888379a89b195639ef69f5541b1b3ad36e"),
         (3, 15, "15b9684f23bc1b979da3cf668c9e71787f4a702875e0bd4dca1c2752ae4b4cb4"),
+        (7, 7, "02d7fe4e7c2836464a0658c1df73ecd593d7b9769f45c06c7127e10a56b6b314"),
     ])
     def test_certificate_bytes_pinned(self, q, k, digest):
         # SHA-256 of the canonical certificate bytes; any change to the
         # vanishing system, the elimination or the parameters shows here
         assert hashlib.sha256(check_warmup(q, k).to_json_bytes()).hexdigest() == digest
+
+
+def test_key_lemma_large_k_pinned(F5):
+    # |alpha| up to 7,559 and |beta| below 1,890: each binomial comes from
+    # base-5 digits (Lucas), not from exact integers of up to 1,844 digits
+    start = time.perf_counter()
+    cert = check_key_lemma(3, F5, 1, 1890, seed=1)
+    assert time.perf_counter() - start < 1
+    assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == \
+        "2dd0487c7ac6857e318c2c2ad953fa71478277d0a433e7ca3ee2105a09d7a966"
 
 
 def test_seeded_determinism(F5):

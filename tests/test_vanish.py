@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -11,6 +12,7 @@ from ffkakeya.vanish import (
     VanishProblem,
     _eliminate,
     _null_vector,
+    _slot_type,
     build_system,
     find_vanishing_poly,
     nullspace_trivial,
@@ -220,12 +222,74 @@ def test_eliminate_wide_dense_extension_matches_oracle(q):
         assert _null_vector(basis, spec, ncols) == _oracle_solution(rows, spec, ncols)
 
 
-def test_eliminate_slot_reaching_its_top_bit(F3):
-    # over F_3 with three columns a packed slot may reach 2 + 2 * 2^2 = 10;
-    # here the last slot of the third row is 8 after two updates, so the
-    # lowest set bit of the row is bit 3 of that slot
-    rows = [[1, 0, 2], [0, 1, 2], [1, 1, 0]]
-    assert len(_eliminate(iter(rows), F3, 3)) == _oracle_rref(rows, F3)[0] == 3
+def _assert_basis_matches_oracle(rows, spec, ncols):
+    """The echelon basis has the oracle's pivots and spans the same rows."""
+    rank, pivot_cols, reduced = _oracle_rref(rows, spec)
+    basis = _eliminate(iter(rows), spec, ncols)
+    assert sorted(basis) == pivot_cols
+    echelon = [[0] * c + tail for c, tail in sorted(basis.items())]
+    assert _oracle_rref(echelon, spec)[2] == reduced[:rank]
+    return basis
+
+
+def _slot_bits(ncols, p):
+    return 8 * array(_slot_type(ncols, p)).itemsize
+
+
+@pytest.mark.parametrize("p,ncols,bits", [
+    (7, 910, 16), (7, 911, 32),  # 910 * 6^2 + 7 = 2^15 - 1 still leaves a spare top bit
+    (61, 9, 16), (61, 10, 32),
+    (257, 1, 32), (257, 32767, 32), (257, 32768, 64),
+    (65521, 1, 64), (65521, 10**8, 64),  # the system guard's column cap needs 60 bits
+])
+def test_slot_width_rounds_need_up(p, ncols, bits):
+    # need = bit_length(ncols * (p-1)^2 + p) + 1, rounded up to 16, 32 or 64
+    assert _slot_bits(ncols, p) == bits
+
+
+@pytest.mark.parametrize("q,bits", [(7, 16), (257, 32), (65521, 64)])
+def test_eliminate_each_slot_width_matches_oracle(q, bits):
+    spec = field_for_q(q)
+    rng = random.Random(4000 + q)
+    for ncols, nrows in ((1, 3), (5, 12), (9, 9), (14, 10)):
+        assert _slot_bits(ncols, q) == bits
+        for rank_cap in (None, 1, ncols // 2):
+            _assert_basis_matches_oracle(_random_rows(rng, spec, nrows, ncols, rank_cap), spec, ncols)
+
+
+def test_eliminate_jumps_zero_slots_to_a_high_set_bit():
+    # 64-bit slots over F_65521: after the first pivot the second row is
+    # zero in columns 1-3 and 128 + 65520 * 32776 = 2^31 in column 4, so
+    # the step past the zero slot lands on bit 31 of a slot
+    spec = field_for_q(65521)
+    assert 128 + 65520 * 32776 == 2**31 and 2**31 % 65521
+    rows = [[1, 0, 0, 0, 32776], [1, 0, 0, 0, 128], [0, 0, 1, 0, 0]]
+    basis = _assert_basis_matches_oracle(rows, spec, 5)
+    assert sorted(basis) == [0, 2, 4]
+
+
+def test_eliminate_drops_a_slot_that_is_zero_mod_p(F7):
+    # the second row's next slot becomes 1 + 6 * 1 = 7 in the first system
+    # and, past a zero slot, 2 + 6 * 2 = 14 in the second: nonzero slots
+    # that are 0 mod 7
+    rows = [[1, 1, 0, 0], [1, 1, 1, 0]]
+    assert sorted(_assert_basis_matches_oracle(rows, F7, 4)) == [0, 2]
+    rows = [[1, 0, 2, 0], [1, 0, 2, 5]]
+    assert sorted(_assert_basis_matches_oracle(rows, F7, 4)) == [0, 3]
+
+
+def test_eliminate_slot_reaching_its_top_bit():
+    # over F_61, 9 columns fit 16-bit slots and 12 need 32 bits.  Ten pivots
+    # e_i + y_i * e_11 with sum(y_i) = 546, then a row of ten ones, a zero
+    # and 8: its last slot ends at 8 + 60 * 546 = 2^15, the top bit of a
+    # 16-bit slot, reached past a zero slot
+    spec = field_for_q(61)
+    assert (_slot_bits(9, 61), _slot_bits(12, 61)) == (16, 32)
+    ys = [55] * 6 + [54] * 4
+    assert 8 + 60 * sum(ys) == 2**15
+    rows = [[int(j == i) for j in range(11)] + [y] for i, y in enumerate(ys)]
+    rows.append([1] * 10 + [0, 8])
+    assert sorted(_assert_basis_matches_oracle(rows, spec, 12)) == list(range(10)) + [11]
 
 
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
