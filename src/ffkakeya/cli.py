@@ -155,7 +155,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok = selftest.run_all(_seed(args), report=lambda line: print(line, file=sys.stderr))
+    ok = selftest.run_all(_seed(args))
     print("selftest: " + ("pass" if ok else "fail"))
     return 0 if ok else 1
 

@@ -289,8 +289,20 @@ def derivatives(P: SparsePoly, top=math.inf):
         order += 1
 
 
+def _power(cache: dict, e: int) -> SparsePoly:
+    """h^e by square-and-multiply, h^(e//2) * h^(e - e//2), from `cache`,
+    which maps exponents to powers of h, holds h^0 and h^1 and keeps each
+    power built.  A new power costs one product: the exponents 0 to E cost
+    E - 1, as building them one at a time does, and a lone E about
+    2 log2(E)."""
+    if e not in cache:
+        cache[e] = _power(cache, e // 2) * _power(cache, e - e // 2)
+    return cache[e]
+
+
 def compose(P: SparsePoly, h) -> SparsePoly:
-    """Exact substitution P(h_1, ..., h_n); powers of each h_i are memoized."""
+    """Exact substitution P(h_1, ..., h_n); each h_i^e is built on demand
+    (`_power`) and memoized."""
     h = list(h)
     if len(h) != P.arity:
         raise ArityMismatch(f"{len(h)} substituents for arity {P.arity}")
@@ -303,15 +315,12 @@ def compose(P: SparsePoly, h) -> SparsePoly:
             raise MixedFields("substituents over a different field")
         if hi.arity != out_arity:
             raise ArityMismatch("substituents with mixed arity")
-    powers = [[SparsePoly.one(spec, out_arity)] for _ in h]
+    powers = [{0: SparsePoly.one(spec, out_arity), 1: hi} for hi in h]
     result = SparsePoly.zero(spec, out_arity)
     for exp, c in P.terms.items():
         term = SparsePoly.constant(spec, out_arity, c)
-        for i, e in enumerate(exp):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * h[i])
-            term = term * cache[e]
+        for cache, e in zip(powers, exp):
+            term = term * _power(cache, e)
         result = result + term
     return result
 

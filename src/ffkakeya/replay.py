@@ -8,6 +8,7 @@ inputs, then demand the nonvanishing witness the statement guarantees.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -182,6 +183,12 @@ def check_key_lemma(trials: int, spec: FieldSpec, n: int, k: int, seed: int = 0)
     return cert
 
 
+def _surface(spec: FieldSpec, a: tuple, rho: int, f: SparsePoly) -> list:
+    """The substitution a + rho*(x, f(x)) in the n - 1 variables x, n = len(a)."""
+    xs = [SparsePoly.variable(spec, len(a) - 1, i) for i in range(len(a) - 1)] + [f]
+    return [x.scale(rho) + SparsePoly.constant(spec, len(a) - 1, c) for x, c in zip(xs, a)]
+
+
 def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
     """All composed Hasse derivatives of order < k vanish identically along
     the curve, given the degree/multiplicity inequality and high-order
@@ -220,11 +227,7 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
     orders = math.comb(max(k - 1 + n, 0), n)  # |beta| < k
     if orders > _ENUM_GUARD:
         raise SizeGuard(f"{orders} derivative orders below k = {k} exceed guard")
-    subs = []
-    for i in range(n - 1):
-        var = SparsePoly.variable(spec, n - 1, i).scale(rho)
-        subs.append(var + SparsePoly.constant(spec, n - 1, a[i]))
-    subs.append(g.scale(rho) + SparsePoly.constant(spec, n - 1, a[-1]))
+    subs = _surface(spec, a, rho, g)
     cert = Certificate(
         "derivs_zero",
         None,
@@ -299,7 +302,8 @@ def check_proposition(
             "trials": trials,
         },
     )
-    subs = [SparsePoly.variable(spec, n - 1, i) for i in range(n - 1)] + [f]
+    # built on first use, once per rho: most trials stop at rho = 1
+    surface = functools.cache(lambda rho: _surface(spec, (0,) * n, rho, f))
     for trial in range(trials):
         m = rng.randint(1, cap - 1)
         candidates = _weighted_homogeneous_candidates(n, ell, m)
@@ -312,7 +316,7 @@ def check_proposition(
                 for beta, deriv in derivatives(Q, k - 1)
                 if not deriv.is_zero()
                 for rho in range(1, q)
-                if not compose(deriv, [h.scale(rho) for h in subs]).is_zero()
+                if not compose(deriv, surface(rho)).is_zero()
             ),
             None,
         )

@@ -5,9 +5,10 @@ suite both drive these runners.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from typing import Callable, List
+import sys
 
 from .brkset import min_brk_search
 from .ffield import field_for_q
@@ -25,39 +26,36 @@ from .replay import Certificate, check_key_lemma, check_proposition, check_warmu
 from .vanish import VanishProblem, find_vanishing_poly
 from .errors import PreconditionFailed
 
-_FIELD_CACHE = {}
+_field = functools.cache(field_for_q)
+
+_MAX_TERMS = 8  # terms drawn per random polynomial, at most
+_POLYS_PER_FIELD = 500  # hasse_oracle
+_LEMMA_TRIALS = 300  # multiplicity_lemmas, per lemma
 
 
-def _field(q):
-    if q not in _FIELD_CACHE:
-        _FIELD_CACHE[q] = field_for_q(q)
-    return _FIELD_CACHE[q]
-
-
-def _random_poly(rng, spec, arity, max_degree, max_terms=8, nonzero=False):
+def _random_poly(rng, spec, arity, max_degree, nonzero=False):
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, _MAX_TERMS)):
         d = rng.randint(0, max_degree)
         exp = tuple(rng.choice(compositions(arity, d)))
         terms[exp] = rng.randrange(spec.q)
     P = SparsePoly(spec, arity, terms)
     if nonzero and P.is_zero():
-        exp = (0,) * arity
-        P = SparsePoly(spec, arity, {exp: rng.randrange(1, spec.q)})
+        P = SparsePoly(spec, arity, {(0,) * arity: rng.randrange(1, spec.q)})
     return P
 
 
-def hasse_oracle_check(seed: int = 0, polys_per_field: int = 500) -> Certificate:
+def hasse_oracle_check(seed: int = 0) -> Certificate:
     """hasse_derivative agrees with the brute-force shift expansion."""
     rng = random.Random(seed)
     cert = Certificate(
         "hasse_oracle", seed,
-        {"fields": [2, 3, 5, 7, 9], "polys_per_field": polys_per_field},
+        {"fields": [2, 3, 5, 7, 9], "polys_per_field": _POLYS_PER_FIELD},
     )
     checked = 0
     for q in [2, 3, 5, 7, 9]:
         spec = _field(q)
-        for _ in range(polys_per_field):
+        for _ in range(_POLYS_PER_FIELD):
             n = rng.randint(1, 3)
             P = _random_poly(rng, spec, n, rng.randint(0, 6))
             table = expand_shift(P)
@@ -70,66 +68,60 @@ def hasse_oracle_check(seed: int = 0, polys_per_field: int = 500) -> Certificate
                     cert.verdict = "fail"
                     cert.witness = {"q": q, "terms": sorted(P.terms.items()), "beta": list(beta)}
                     return cert
-        cert.steps.append({"q": q, "polys": polys_per_field})
+        cert.steps.append({"q": q, "polys": _POLYS_PER_FIELD})
     cert.steps.append({"derivative_comparisons": checked})
     return cert
 
 
-def _with_seeded_multiplicity(rng, spec, P, arity):
-    """Optionally multiply in linear factors so mult > 1 cases appear."""
-    a = tuple(rng.randrange(spec.q) for _ in range(arity))
+def _derivative_lemma(rng, spec, n) -> bool:
+    """mult(P^(beta), a) >= mult(P, a) - |beta|; P may have linear factors
+    through a, so that mult > 1 cases appear."""
+    P = _random_poly(rng, spec, n, 4)
+    a = tuple(rng.randrange(spec.q) for _ in range(n))
     for _ in range(rng.randint(0, 2)):
-        i = rng.randrange(arity)
-        lin = SparsePoly.variable(spec, arity, i) - SparsePoly.constant(spec, arity, a[i])
-        P = P * lin
-    return P, a
+        i = rng.randrange(n)
+        P = P * (SparsePoly.variable(spec, n, i) - SparsePoly.constant(spec, n, a[i]))
+    beta = tuple(rng.choice(compositions(n, rng.randint(0, 3))))
+    return mult_at(hasse_derivative(P, beta), a).mult >= mult_at(P, a).mult - sum(beta)
 
 
-def multiplicity_lemmas_check(seed: int = 0, trials: int = 300) -> Certificate:
+def _composition_lemma(rng, spec, n) -> bool:
+    """mult(P o h, lam) >= mult(P, h(lam))"""
+    P = _random_poly(rng, spec, n, 3)
+    h = [_random_poly(rng, spec, 1, 2) for _ in range(n)]
+    lam = rng.randrange(spec.q)
+    image = tuple(hi.eval_codes((lam,)) for hi in h)
+    return mult_at(compose(P, h), (lam,)).mult >= mult_at(P, image).mult
+
+
+def _additivity_lemma(rng, spec, n) -> bool:
+    """(P+Q)^(beta) = P^(beta) + Q^(beta)"""
+    P = _random_poly(rng, spec, n, 5)
+    Q = _random_poly(rng, spec, n, 5)
+    beta = tuple(rng.choice(compositions(n, rng.randint(0, 4))))
+    return hasse_derivative(P + Q, beta) == hasse_derivative(P, beta) + hasse_derivative(Q, beta)
+
+
+# (witness name, step name, law) per lemma, in the order they are checked
+_LEMMAS = [
+    ("derivative", "derivative_lower_bound", _derivative_lemma),
+    ("composition", "composition_lower_bound", _composition_lemma),
+    ("additivity", "additivity", _additivity_lemma),
+]
+
+
+def multiplicity_lemmas_check(seed: int = 0) -> Certificate:
     """Derivative, composition and additivity laws for multiplicities."""
     rng = random.Random(seed)
-    cert = Certificate("multiplicity_lemmas", seed, {"trials_per_lemma": trials})
-    qs = [2, 3, 5, 7]
-    # mult(P^(beta), a) >= mult(P, a) - |beta|
-    for t in range(trials):
-        spec = _field(rng.choice(qs))
-        n = rng.randint(1, 3)
-        P, a = _with_seeded_multiplicity(rng, spec, _random_poly(rng, spec, n, 4), n)
-        beta = tuple(rng.choice(compositions(n, rng.randint(0, 3))))
-        base = mult_at(P, a).mult
-        derived = mult_at(hasse_derivative(P, beta), a).mult
-        if not derived >= base - sum(beta):
-            cert.verdict = "fail"
-            cert.witness = {"lemma": "derivative", "trial": t}
-            return cert
-    cert.steps.append({"lemma": "derivative_lower_bound", "trials": trials})
-    # mult(P o h, lam) >= mult(P, h(lam))
-    for t in range(trials):
-        spec = _field(rng.choice(qs))
-        n = rng.randint(1, 3)
-        P = _random_poly(rng, spec, n, 3)
-        h = [_random_poly(rng, spec, 1, 2) for _ in range(n)]
-        lam = rng.randrange(spec.q)
-        image = tuple(hi.eval_codes((lam,)) for hi in h)
-        lhs = mult_at(compose(P, h), (lam,)).mult
-        rhs = mult_at(P, image).mult
-        if not lhs >= rhs:
-            cert.verdict = "fail"
-            cert.witness = {"lemma": "composition", "trial": t}
-            return cert
-    cert.steps.append({"lemma": "composition_lower_bound", "trials": trials})
-    # (P+Q)^(beta) = P^(beta) + Q^(beta)
-    for t in range(trials):
-        spec = _field(rng.choice(qs))
-        n = rng.randint(1, 3)
-        P = _random_poly(rng, spec, n, 5)
-        Q = _random_poly(rng, spec, n, 5)
-        beta = tuple(rng.choice(compositions(n, rng.randint(0, 4))))
-        if hasse_derivative(P + Q, beta) != hasse_derivative(P, beta) + hasse_derivative(Q, beta):
-            cert.verdict = "fail"
-            cert.witness = {"lemma": "additivity", "trial": t}
-            return cert
-    cert.steps.append({"lemma": "additivity", "trials": trials})
+    cert = Certificate("multiplicity_lemmas", seed, {"trials_per_lemma": _LEMMA_TRIALS})
+    for lemma, step, holds in _LEMMAS:
+        for t in range(_LEMMA_TRIALS):
+            spec = _field(rng.choice([2, 3, 5, 7]))
+            if not holds(rng, spec, rng.randint(1, 3)):
+                cert.verdict = "fail"
+                cert.witness = {"lemma": lemma, "trial": t}
+                return cert
+        cert.steps.append({"lemma": step, "trials": _LEMMA_TRIALS})
     return cert
 
 
@@ -311,7 +303,7 @@ def determinism_check(seed: int = 0) -> Certificate:
 
 
 # registry used by the CLI
-RUNNERS: List = [
+RUNNERS = [
     ("hasse_oracle", hasse_oracle_check),
     ("multiplicity_lemmas", multiplicity_lemmas_check),
     ("vandermonde", lambda seed=0: vandermonde_check()),
@@ -326,10 +318,11 @@ RUNNERS: List = [
 ]
 
 
-def run_all(seed: int = 0, report: Callable[[str], None] = print) -> bool:
+def run_all(seed: int = 0) -> bool:
+    """Run every runner, one `name: verdict` line each on stderr."""
     ok = True
     for name, runner in RUNNERS:
         cert = runner(seed)
-        report(f"{name}: {cert.verdict}")
+        print(f"{name}: {cert.verdict}", file=sys.stderr)
         ok = ok and cert.verdict == "pass"
     return ok

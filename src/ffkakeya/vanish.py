@@ -67,33 +67,22 @@ class VanishProblem:
 
 @dataclass
 class LinearSystem:
-    spec: FieldSpec
     cols: list  # monomial exponent tuples, degree-then-lex
     row_index: list  # (point codes, beta) per row
     rows: list  # list of list of element codes
 
-    def to_json(self) -> dict:
-        ser = self.spec.element_to_json
-        return {
-            "field": self.spec.to_json(),
-            "cols": [list(c) for c in self.cols],
-            "rows": [
-                {
-                    "point": [ser(c) for c in pt],
-                    "beta": list(beta),
-                    "entries": [ser(v) for v in row],
-                }
-                for (pt, beta), row in zip(self.row_index, self.rows)
-            ],
-        }
 
-
-def _columns(prob: VanishProblem) -> list:
-    # an empty set still builds every column, so it counts as one constraint
+def _check_size(prob: VanishProblem):
+    # an empty set counts as one constraint, so its columns alone are bounded
+    # and it is refused wherever a one-point set with one order would be
     if prob.unknown_count * max(prob.constraint_count, 1) > _SYSTEM_GUARD:
         raise SizeGuard(
             f"{prob.constraint_count} x {prob.unknown_count} system exceeds guard"
         )
+
+
+def _columns(prob: VanishProblem) -> list:
+    _check_size(prob)
     return monomials_upto(prob.arity, prob.max_degree)
 
 
@@ -159,7 +148,7 @@ def build_system(prob: VanishProblem) -> LinearSystem:
     for index, row in _system_rows(prob, cols):
         row_index.append(index)
         rows.append(row)
-    return LinearSystem(prob.spec, cols, row_index, rows)
+    return LinearSystem(cols, row_index, rows)
 
 
 def _slot_type(ncols: int, p: int) -> str:
@@ -316,9 +305,13 @@ def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
     to one and all other free variables to zero; pivot variables follow
     from the echelon rows.  The reduced row echelon form of a row space is
     unique, so this solution does not depend on row order.  Every returned
-    polynomial is re-verified against the multiplicity module.
+    polynomial is re-verified against the multiplicity module.  An empty
+    set leaves every column free: its answer is the first, the constant 1.
     """
     spec = prob.spec
+    if not prob.points:
+        _check_size(prob)
+        return SparsePoly.one(spec, prob.arity)
     cols, basis = _echelon(prob)
     solution = _null_vector(basis, spec, len(cols))
     if solution is None:

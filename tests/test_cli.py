@@ -434,6 +434,17 @@ def test_replay_proposition_exponent_guard_is_one_line(tmp_path, capsys):
     assert captured.err == "error: SizeGuard: exponent 1111574 exceeds guard 1048576\n"
 
 
+def test_replay_proposition_linear_f_is_bad_ell(tmp_path, capsys):
+    # ell defaults to deg f = 1: f = x passes the shape checks and is
+    # refused only by the degree
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"f": poly_to_json(SparsePoly(field_for_q(5), 1, {(1,): 1}))}))
+    assert main(["replay", "--check", "proposition", "--q", "5", "--params", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BadEll: ell must be >= 2\n"
+
+
 def test_replay_warmup(capsys):
     assert main(["replay", "--check", "warmup", "--q", "3", "--k", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)

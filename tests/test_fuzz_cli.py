@@ -1,6 +1,7 @@
-"""Fuzz the integer flags of `bound`, `min-search`, `vanish` and `replay`:
-whatever their values, the CLI exits 0, or exits 2 with one line on stderr,
-never a traceback.  Only a `replay` verdict may exit 1."""
+"""Fuzz the integer flags of `bound`, `min-search`, `vanish` and `replay`,
+and the integers of a `replay --check derivs-zero` params file: whatever
+their values, the CLI exits 0, or exits 2 with one line on stderr, never a
+traceback.  Only a `replay` verdict may exit 1."""
 
 import contextlib
 import io
@@ -125,4 +126,33 @@ def test_vanish_high_mult_over_degree_zero_answers_at_once(set_file, capsys):
 def test_replay_flags(f_file, check, seed, changes):
     _exit_0_or_one_line(["--seed", str(seed), "replay", "--check", check, "--params", f_file,
                          *_flags({"--q": 5, "--n": 2, "--k": 1, "--trials": 3}, changes)],
+                        verdict=True)
+
+
+@pytest.fixture(scope="module")
+def derivs_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# (x2 - x1^2)^2 over F_7 on the parabola a + rho*(s, s^2): the base
+# parameters pass, and each example changes a subset of them
+@FUZZ
+@given(changes=st.fixed_dictionaries({}, optional={
+    "k": SMALL_OR_HUGE, "D": SMALL_OR_HUGE, "M": SMALL_OR_HUGE, "rho": SMALL_OR_HUGE,
+    "a": st.lists(SMALL_OR_HUGE, max_size=3),
+}))
+@example(changes={"k": 10**9})
+@example(changes={"D": 10**9, "M": 10**9})
+@example(changes={"rho": 0, "a": [3, 5]})
+def test_replay_derivs_zero_params(derivs_dir, changes):
+    spec = field_for_q(7)
+    par = SparsePoly.from_int_terms(spec, 2, {(0, 1): 1, (2, 0): -1})
+    values = {"k": 2, "D": 4, "M": 2, "rho": 1, "a": [0, 0], **changes}
+    doc = {"field": spec.to_json(), "P": poly_to_json(par * par),
+           "g": poly_to_json(SparsePoly(spec, 1, {(2,): spec.one})),
+           "a": values["a"], "rho": values["rho"],
+           "params": {key: values[key] for key in ("k", "D", "M")}}
+    path = derivs_dir / "derivs.json"
+    path.write_text(json.dumps(doc))
+    _exit_0_or_one_line(["replay", "--check", "derivs-zero", "--params", str(path)],
                         verdict=True)

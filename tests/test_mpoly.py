@@ -223,6 +223,22 @@ class TestCompose:
         h2 = SparsePoly.from_int_terms(F3, 1, {(1,): 1, (0,): 1})
         assert compose(P, [h1, h2]).terms == {(0,): 1}
 
+    def test_sparse_high_exponents_match_repeated_products(self, F5):
+        # exponents of several hundred, most powers below them unused: each
+        # power built by squaring must equal the product taken factor by factor
+        P = SparsePoly.from_int_terms(F5, 2, {(300, 0): 1, (0, 451): 2, (517, 129): 3,
+                                              (2, 1): 4})
+        h = [SparsePoly.from_int_terms(F5, 2, {(1, 0): 1, (0, 0): 2}),
+             SparsePoly.from_int_terms(F5, 2, {(0, 1): 3, (1, 1): 1})]
+        expected = SparsePoly.zero(F5, 2)
+        for exp, c in P.terms.items():
+            term = SparsePoly.constant(F5, 2, c)
+            for hi, e in zip(h, exp):
+                for _ in range(e):
+                    term = term * hi
+            expected = expected + term
+        assert compose(P, h) == expected
+
     def test_degree_bound(self, F5):
         rng = random.Random(6)
         for _ in range(30):

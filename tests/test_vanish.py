@@ -6,7 +6,8 @@ import pytest
 
 from ffkakeya.errors import ArityMismatch, SizeGuard
 from ffkakeya.ffield import field_for_q, make_field
-from ffkakeya.mpoly import binom_multi, monomials_upto
+from ffkakeya import vanish
+from ffkakeya.mpoly import SparsePoly, binom_multi, monomials_upto
 from ffkakeya.multiplicity import vanishes_with_mult
 from ffkakeya.vanish import (
     VanishProblem,
@@ -101,9 +102,23 @@ def test_empty_point_set(F3):
     assert P is not None and not P.is_zero()
 
 
+def test_empty_point_set_answers_without_columns(F5, monkeypatch):
+    # no rows leave every column free, so the answer is the first column,
+    # the constant 1, whatever the degree; the guard still comes first
+    def no_columns(*args):
+        raise AssertionError("columns built for an empty set")
+
+    monkeypatch.setattr(vanish, "monomials_upto", no_columns)
+    P = find_vanishing_poly(VanishProblem(F5, 2, [], 3000, 1))
+    assert P == SparsePoly.one(F5, 2)
+    with pytest.raises(SizeGuard):
+        find_vanishing_poly(VanishProblem(F5, 2, [], 20000, 1))
+
+
 def test_single_point_row(F2):
     prob = VanishProblem(F2, 2, [(1, 1)], 1, 1)
     system = build_system(prob)
+    assert system.cols == [(0, 0), (0, 1), (1, 0)]
     assert system.rows == [[1, 1, 1]]
 
 
@@ -376,9 +391,3 @@ def test_rows_above_degree_keep_their_order(F5, n, D, M):
     assert all(not any(row) for (_, beta), row in zip(system.row_index, system.rows)
                if sum(beta) > D)
 
-
-def test_system_json_dump(F3):
-    system = build_system(VanishProblem(F3, 2, [(1, 2)], 1, 1))
-    doc = system.to_json()
-    assert doc["cols"] == [[0, 0], [0, 1], [1, 0]]
-    assert len(doc["rows"]) == 1
