@@ -95,6 +95,17 @@ def monomials_upto(n: int, max_degree: int):
     return out
 
 
+def _add_into(terms: dict, other: dict, add) -> dict:
+    """Add the terms of `other` into `terms` in place, dropping zero sums."""
+    for e, c in other.items():
+        s = add(terms.get(e, 0), c)
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return terms
+
+
 # --- the polynomial type ---
 
 
@@ -176,14 +187,7 @@ class SparsePoly:
 
     def __add__(self, other):
         self._check(other)
-        add = self.spec.add
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = add(terms.get(e, 0), c)
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+        terms = _add_into(dict(self.terms), other.terms, self.spec.add)
         return SparsePoly._raw(self.spec, self.arity, terms)
 
     def __neg__(self):
@@ -302,7 +306,7 @@ def _power(cache: dict, e: int) -> SparsePoly:
 
 def compose(P: SparsePoly, h) -> SparsePoly:
     """Exact substitution P(h_1, ..., h_n); each h_i^e is built on demand
-    (`_power`) and memoized."""
+    (`_power`) and memoized, and each term is added into one dict."""
     h = list(h)
     if len(h) != P.arity:
         raise ArityMismatch(f"{len(h)} substituents for arity {P.arity}")
@@ -316,13 +320,13 @@ def compose(P: SparsePoly, h) -> SparsePoly:
         if hi.arity != out_arity:
             raise ArityMismatch("substituents with mixed arity")
     powers = [{0: SparsePoly.one(spec, out_arity), 1: hi} for hi in h]
-    result = SparsePoly.zero(spec, out_arity)
+    terms = {}
     for exp, c in P.terms.items():
         term = SparsePoly.constant(spec, out_arity, c)
         for cache, e in zip(powers, exp):
             term = term * _power(cache, e)
-        result = result + term
-    return result
+        _add_into(terms, term.terms, spec.add)
+    return SparsePoly._raw(spec, out_arity, terms)
 
 
 def expand_shift(P: SparsePoly) -> dict:

@@ -5,6 +5,14 @@ mult(P, a) is the largest M such that every Hasse derivative of order
 orders (`mpoly.derivatives`: by increasing total degree, lex within a
 level) and takes the first order whose derivative is nonzero at the
 point, so the witness is canonical.
+
+Each walk evaluates all its derivatives at a point from one table of
+powers per coordinate, made once per point: the table of a_i holds a_i^e
+for each exponent e a derivative has read, computed by `pow_` on its first
+read (0^0 = 1), so a power is computed once per point, not once per
+derivative, and a sparse P of high degree costs no more than its terms
+read.  The audit makes one table per value of A, and every point of its
+grid reads its coordinates' tables.
 """
 
 from __future__ import annotations
@@ -32,9 +40,33 @@ def _point_codes(spec: FieldSpec, point, arity: int):
     return codes
 
 
-def _first_nonzero(derivs, codes):
-    """The first beta of a derivative walk whose derivative is nonzero at codes, or None."""
-    return next((beta for beta, D in derivs if D.eval_codes(codes) != 0), None)
+class _Powers(dict):
+    """c^e for each exponent e read, computed on its first read."""
+
+    __slots__ = ("pow_", "c")
+
+    def __init__(self, spec: FieldSpec, c: int):
+        self.pow_, self.c = spec.pow_, c
+
+    def __missing__(self, e: int) -> int:
+        w = self[e] = self.pow_(self.c, e)
+        return w
+
+
+def _first_nonzero(spec: FieldSpec, derivs, powers):
+    """The first beta of a derivative walk whose derivative is nonzero at the
+    point whose coordinates' power tables are `powers`, or None."""
+    add, mul = spec.add, spec.mul
+    for beta, D in derivs:
+        acc = 0
+        for exp, c in D.terms.items():
+            for table, e in zip(powers, exp):
+                if e:
+                    c = mul(c, table[e])
+            acc = add(acc, c)
+        if acc:
+            return beta
+    return None
 
 
 @dataclass
@@ -46,8 +78,10 @@ class MultReport:
 
 def mult_at(P: SparsePoly, point) -> MultReport:
     """Exact multiplicity of P at a point, with the witnessing derivative order."""
-    codes = _point_codes(P.spec, point, P.arity)
-    beta = _first_nonzero(derivatives(P), codes)
+    spec = P.spec
+    codes = _point_codes(spec, point, P.arity)
+    powers = [_Powers(spec, c) for c in codes]
+    beta = _first_nonzero(spec, derivatives(P), powers)
     if beta is None:
         return MultReport(codes, INFINITE, None)
     return MultReport(codes, sum(beta), beta)
@@ -64,10 +98,12 @@ def vanishes_with_mult(P: SparsePoly, A, M: int) -> VanishCheck:
     """True iff mult(P, a) >= M for every a in A; reports the first failure."""
     if M < 0:
         raise ValueError("multiplicity M must be >= 0")
+    spec = P.spec
     derivs = list(derivatives(P, M - 1))
     for point in A:
-        codes = _point_codes(P.spec, point, P.arity)
-        beta = _first_nonzero(derivs, codes)
+        codes = _point_codes(spec, point, P.arity)
+        powers = [_Powers(spec, c) for c in codes]
+        beta = _first_nonzero(spec, derivs, powers)
         if beta is not None:
             return VanishCheck(False, codes, beta)
     return VanishCheck(True)
@@ -84,11 +120,15 @@ def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
     """Sum of mult(P, a) over a in A^n against the bound deg(P) * |A|^(n-1)."""
     if P.is_zero():
         raise ZeroPolynomial("audit bound undefined for the zero polynomial")
-    codes = [_point_codes(P.spec, (a,), 1)[0] for a in A]
+    spec = P.spec
+    codes = [_point_codes(spec, (a,), 1)[0] for a in A]
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
     derivs = list(derivatives(P))
-    points = itertools.product(codes, repeat=P.arity)
-    total = sum(sum(_first_nonzero(derivs, point)) for point in points)
+    table = {c: _Powers(spec, c) for c in codes}
+    total = sum(
+        sum(_first_nonzero(spec, derivs, [table[c] for c in point]))
+        for point in itertools.product(codes, repeat=P.arity)
+    )
     bound = P.degree * len(codes) ** (P.arity - 1)
     return SchwartzZippelReport(total, bound, total <= bound)

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -20,7 +21,6 @@ from .errors import BadEll, DimensionMismatch, PreconditionFailed, SizeGuard
 from .ffield import FieldSpec, field_for_q
 from .mpoly import (
     SparsePoly,
-    compositions,
     binom_multi_mod,
     hasse_derivative,
     compose,
@@ -252,16 +252,54 @@ def check_derivs_zero(P: SparsePoly, curve: dict, params: dict) -> Certificate:
     return cert
 
 
-def _weighted_homogeneous_candidates(n: int, ell: int, m: int):
-    """All alpha in Z_{>=0}^n with weighted degree m, lex order; counted
-    before they are built.  Each alpha_n has C(m - ell*alpha_n + n-2, n-2)
-    of them, at least one."""
-    counts = (math.comb(m - ell * an + n - 2, n - 2) for an in range(m // ell + 1))
-    if m // ell >= _ENUM_GUARD or sum(counts) > _ENUM_GUARD:
-        raise SizeGuard(f"weighted degree {m} has over {_ENUM_GUARD} candidates, exceeds guard")
-    return sorted(
-        head + (an,) for an in range(m // ell + 1) for head in compositions(n - 1, m - ell * an)
-    )
+class _WeightedCandidates(Sequence):
+    """All alpha in Z_{>=0}^n with weighted degree alpha_1 + ... + alpha_(n-1)
+    + ell*alpha_n = m, in lex order, as an indexable view: item i is unranked
+    from counts when it is read, so `rng.sample` draws as from the sorted
+    list without any other candidate being built."""
+
+    def __init__(self, n: int, ell: int, m: int):
+        self.n, self.ell, self.m = n, ell, m
+        self._len = self._tails(n - 1, m)
+
+    def _tails(self, k: int, r: int) -> int:
+        """Tails (alpha_(n-k), ..., alpha_n) of weighted degree r, k >= 1: for
+        each alpha_n, C(r - ell*alpha_n + k-1, k-1) choices of the k unit parts."""
+        if k == 1:
+            return r // self.ell + 1
+        return sum(math.comb(r - self.ell * an + k - 1, k - 1) for an in range(r // self.ell + 1))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple:
+        i = range(self._len)[i]
+        alpha, r = [], self.m
+        # a unit part v leads a block of _tails(k, r - v) candidates, k the
+        # unit parts after it; with none after it, the block is one
+        # candidate if ell divides r - v and empty otherwise
+        for k in range(self.n - 2, 0, -1):
+            v = 0
+            while i >= (block := self._tails(k, r - v)):
+                i -= block
+                v += 1
+            alpha.append(v)
+            r -= v
+        v = r % self.ell + self.ell * i
+        return (*alpha, v, (r - v) // self.ell)
+
+
+def _weighted_homogeneous_candidates(n: int, ell: int, m: int) -> Sequence:
+    """All alpha in Z_{>=0}^n with weighted degree m, lex order, as a view;
+    the count sums over the m // ell + 1 values of alpha_n, so that is
+    guarded first."""
+    over = f"weighted degree {m} has over {_ENUM_GUARD} candidates, exceeds guard"
+    if m // ell >= _ENUM_GUARD:
+        raise SizeGuard(over)
+    candidates = _WeightedCandidates(n, ell, m)
+    if len(candidates) > _ENUM_GUARD:
+        raise SizeGuard(over)
+    return candidates
 
 
 def check_proposition(

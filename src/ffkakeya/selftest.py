@@ -6,6 +6,7 @@ suite both drive these runners.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import sys
@@ -27,6 +28,9 @@ from .vanish import VanishProblem, find_vanishing_poly
 from .errors import PreconditionFailed
 
 _field = functools.cache(field_for_q)
+# the compositions as a tuple per (arity, total); `Random.choice` reads only
+# the length and one index, so the draws are those from a fresh list
+_compositions = functools.cache(lambda arity, total: tuple(compositions(arity, total)))
 
 _MAX_TERMS = 8  # terms drawn per random polynomial, at most
 _POLYS_PER_FIELD = 500  # hasse_oracle
@@ -37,7 +41,7 @@ def _random_poly(rng, spec, arity, max_degree, nonzero=False):
     terms = {}
     for _ in range(rng.randint(1, _MAX_TERMS)):
         d = rng.randint(0, max_degree)
-        exp = tuple(rng.choice(compositions(arity, d)))
+        exp = rng.choice(_compositions(arity, d))
         terms[exp] = rng.randrange(spec.q)
     P = SparsePoly(spec, arity, terms)
     if nonzero and P.is_zero():
@@ -81,7 +85,7 @@ def _derivative_lemma(rng, spec, n) -> bool:
     for _ in range(rng.randint(0, 2)):
         i = rng.randrange(n)
         P = P * (SparsePoly.variable(spec, n, i) - SparsePoly.constant(spec, n, a[i]))
-    beta = tuple(rng.choice(compositions(n, rng.randint(0, 3))))
+    beta = rng.choice(_compositions(n, rng.randint(0, 3)))
     return mult_at(hasse_derivative(P, beta), a).mult >= mult_at(P, a).mult - sum(beta)
 
 
@@ -98,7 +102,7 @@ def _additivity_lemma(rng, spec, n) -> bool:
     """(P+Q)^(beta) = P^(beta) + Q^(beta)"""
     P = _random_poly(rng, spec, n, 5)
     Q = _random_poly(rng, spec, n, 5)
-    beta = tuple(rng.choice(compositions(n, rng.randint(0, 4))))
+    beta = rng.choice(_compositions(n, rng.randint(0, 4)))
     return hasse_derivative(P + Q, beta) == hasse_derivative(P, beta) + hasse_derivative(Q, beta)
 
 
@@ -125,17 +129,28 @@ def multiplicity_lemmas_check(seed: int = 0) -> Certificate:
     return cert
 
 
+def _box_sums(alpha) -> list:
+    """Entry w is the sum of C(alpha, beta) over |beta| = w, for w <= |alpha|.
+
+    C(alpha, beta) = 0 unless beta <= alpha, so only the box of such beta
+    is summed."""
+    sums = [0] * (sum(alpha) + 1)
+    for beta in itertools.product(*[range(a + 1) for a in alpha]):
+        sums[sum(beta)] += binom_multi(alpha, beta)
+    return sums
+
+
 def vandermonde_check() -> Certificate:
     """Sum of multi-binomials over |beta| = w equals C(|alpha|, w), exactly,
     exhaustively for arity <= 4, |alpha| <= 8, w <= 8."""
     cert = Certificate("vandermonde", None, {"max_arity": 4, "max_total": 8, "max_w": 8})
     checked = 0
     for arity in range(1, 5):
-        betas = [compositions(arity, w) for w in range(9)]
         for d in range(9):
             for alpha in compositions(arity, d):
+                sums = _box_sums(alpha)
                 for w in range(9):
-                    total = sum(binom_multi(alpha, beta) for beta in betas[w])
+                    total = sums[w] if w <= d else 0
                     checked += 1
                     if total != math.comb(d, w):
                         cert.verdict = "fail"

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import ffkakeya
+from ffkakeya import selftest
 from ffkakeya.brkset import BrkInstance, PerRho, PointSet, generate_set
 from ffkakeya.cli import main
 from ffkakeya.ffield import field_for_q, make_field
@@ -228,6 +229,16 @@ def test_selftest_certificates_deterministic_across_processes():
     # SHA-256 of all 11 seed-1 certificates, so any change in their bytes shows
     assert hashlib.sha256(outs[0]).hexdigest() == \
         "51c498acacaaed5404adc4283fcbb63da0bb19526442f086dbe884055b25d732"
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "a7cc6f292e84c27dbf8605d98a8ab5a95735fc96e8503c3deaef73eaa472c5bf"),
+    (5, "8288a087a6b0d852e413b3f66b5c0765172b49e39804c1c9f2690538e72cf665"),
+], ids=["seed0", "seed5"])
+def test_selftest_certificates_pinned(seed, digest):
+    # SHA-256 of all 11 certificates, one line each, at two more seeds
+    out = b"".join(runner(seed).to_json_bytes() + b"\n" for _, runner in selftest.RUNNERS)
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 @pytest.mark.parametrize("q,count,degree,digest", [

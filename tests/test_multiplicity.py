@@ -10,6 +10,7 @@ from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import SparsePoly, compose, compositions, hasse_derivative, monomials_upto
 from ffkakeya.multiplicity import (
     INFINITE,
+    VanishCheck,
     mult_at,
     schwartz_zippel_audit,
     vanishes_with_mult,
@@ -82,6 +83,57 @@ def _first_failure_oracle(P, A, M):
             if hasse_derivative(P, beta).eval_codes(point) != 0:
                 return point, beta
     return None
+
+
+def _mult_oracle(P, point):
+    """(mult, witness) with every derivative evaluated by its own `eval_codes`."""
+    for beta in monomials_upto(P.arity, max(P.degree, 0)):
+        if hasse_derivative(P, beta).eval_codes(point) != 0:
+            return sum(beta), beta
+    return INFINITE, None
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 9])
+def test_power_table_walks_match_eval_codes(q):
+    # the walks read a point's powers from tables shared by all derivatives;
+    # the oracle computes them anew per derivative, over prime and extension
+    # fields, with zero coordinates (0^0 = 1) and the zero polynomial
+    spec = field_for_q(q)
+    rng = random.Random(q)
+    for trial in range(30):
+        n = rng.randint(1, 3)
+        P = random_poly(rng, spec, n, 4) if trial else SparsePoly.zero(spec, n)
+        a = tuple(rng.randrange(q) for _ in range(n))
+        for _ in range(rng.randint(0, 2)):  # raise the multiplicity at a
+            i = rng.randrange(n)
+            P = P * (SparsePoly.variable(spec, n, i) - SparsePoly.constant(spec, n, a[i]))
+        points = [a, (0,) * n, tuple(c if i % 2 else 0 for i, c in enumerate(a))]
+        points += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)]
+        for point in points:
+            report = mult_at(P, point)
+            assert (report.mult, report.witness) == _mult_oracle(P, point)
+        for M in range(max(P.degree, 0) + 2):
+            chk = vanishes_with_mult(P, points, M)
+            want = _first_failure_oracle(P, points, M)
+            assert (chk.point, chk.beta) == (want or (None, None)) and chk.ok == (want is None)
+        if not P.is_zero():
+            A = sorted({0, *rng.sample(range(q), min(q, 3))})
+            rep = schwartz_zippel_audit(P, A)
+            grid = itertools.product(A, repeat=n)
+            assert rep.total_mult == sum(_mult_oracle(P, point)[0] for point in grid)
+            assert rep.bound == P.degree * len(A) ** (n - 1)
+
+
+def test_walks_compute_only_the_powers_they_read():
+    # P(a, 0) = a^(2^20 - 1) != 0: each point needs one power, not all of
+    # those up to deg P
+    spec = field_for_q(65521)
+    P = SparsePoly(spec, 2, {(2**20 - 1, 0): 1, (0, 1): 1})
+    points = [(a, 0) for a in range(1, 41)]
+    start = time.perf_counter()
+    assert all(mult_at(P, point).mult == 0 for point in points)
+    assert vanishes_with_mult(P, points[::-1], 1) == VanishCheck(False, (40, 0), (0, 0))
+    assert time.perf_counter() - start < 1
 
 
 def test_vanishes_with_mult_matches_oracle_and_stops_at_degree(F5):

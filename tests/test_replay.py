@@ -16,6 +16,7 @@ from ffkakeya.replay import (
     check_proposition,
     check_warmup,
     key_lemma_table,
+    _weighted_homogeneous_candidates,
 )
 
 
@@ -222,3 +223,20 @@ def test_seeded_determinism(F5):
     c = check_key_lemma(30, F5, 2, 2, seed=10).to_json_bytes()
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weighted_candidates_view_is_the_sorted_list(n):
+    # the view unranks each item from counts; the oracle builds and sorts all
+    for ell in (2, 3, 4):
+        for m in range(14):
+            want = sorted(head + (an,) for an in range(m // ell + 1)
+                          for head in compositions(n - 1, m - ell * an))
+            view = _weighted_homogeneous_candidates(n, ell, m)
+            assert len(view) == len(want)
+            assert [view[i] for i in range(len(want))] == want
+            assert [view[i] for i in range(-len(want), 0)] == want
+            assert list(view) == want
+            for seed in range(3):
+                k = min(4, len(want))
+                assert random.Random(seed).sample(view, k) == random.Random(seed).sample(want, k)
