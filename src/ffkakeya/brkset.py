@@ -26,10 +26,10 @@ from .errors import (
     SizeGuard,
 )
 from .ffield import FieldSpec, expect_json, field_from_json, prime_power
-from .mpoly import SparsePoly, monomials_upto, poly_from_json, poly_to_json
+from .mpoly import PowerTable, SparsePoly, monomials_upto, poly_from_json, poly_to_json
 
 _EXHAUSTIVE_GUARD = 10**8  # raw configurations
-_GREEDY_GUARD = 10**7  # surface points placed
+_SURFACE_GUARD = 10**7  # surface points placed or built
 _RESTARTS = 5  # greedy passes, each with its own level order
 _BOUND_DIGITS = 4300  # CPython's default int-string limit
 
@@ -157,13 +157,16 @@ def _surface_points(spec: FieldSpec, a, rho: int, f: SparsePoly):
 def generate_set(inst: BrkInstance) -> PointSet:
     """Union over rho of {a(rho) + rho*(lambda, g_rho(lambda))}.
 
-    rho = 0 degenerates to the single point a(0).
+    rho = 0 degenerates to the single point a(0).  An F_q^n of over
+    _SURFACE_GUARD points is refused, from n first, before any is built.
     """
-    spec = inst.spec
+    spec, q, n = inst.spec, inst.spec.q, inst.n
+    if n >= _SURFACE_GUARD.bit_length() or q**n > _SURFACE_GUARD:  # q^n >= 2^n
+        raise SizeGuard(f"{q}^{n} points of F_q^n exceed the surface guard")
     pts = set()
-    for rho in range(spec.q):
+    for rho in range(q):
         pts.update(_surface_points(spec, inst.per_rho[rho].a, rho, inst.g_rho(rho)))
-    return PointSet(spec, inst.n, frozenset(pts))
+    return PointSet(spec, n, frozenset(pts))
 
 
 @dataclass
@@ -271,18 +274,20 @@ def _distinct_level_masks(spec, g, points, lowers):
     g(lam - c) - g(lam) + low(lam - c) + a_n / rho, again of degree < ell.
 
     The graph of g + low does not depend on rho, so it is evaluated once
-    per lam, as the ranks j*q + v of its points (lam, v), lam_j the j-th in
+    per lam, from one power table per field value shared by every lam and
+    lower part, as the ranks j*q + v of its points (lam, v), lam_j the j-th in
     lex order.  Scaling by rho maps the point of rank r to the point whose
     coordinates are rho times r's digits; `bits[r]` is that point's bit, so
     a surface's mask is the sum of its graph's table bits.  The points of
     one surface are distinct, so the sum is their union.
     """
     q = spec.q
-    lams = list(itertools.product(range(q), repeat=g.arity))
+    tables = [PowerTable(spec, c) for c in range(q)]
+    lams = [[tables[c] for c in lam] for lam in itertools.product(range(q), repeat=g.arity)]
     graphs = []
     for low in lowers:
         f = g + low
-        graphs.append([j * q + f.eval_codes(lam) for j, lam in enumerate(lams)])
+        graphs.append([j * q + f.eval_powers(lam) for j, lam in enumerate(lams)])
     levels = [{1 << i: i * len(lowers) for i in range(len(points))}]
     for rho in range(1, q):
         # one base-q digit (coordinate) per pass
@@ -366,7 +371,7 @@ def min_brk_search(
         # surface points placed, one per (rho != 0, lower part, lam):
         # (q - 1) L q^(n-1); only L q^(n-1) of them are evaluated
         e = m + n - 1
-        if e >= _GREEDY_GUARD.bit_length() or (q - 1) * q**e > _GREEDY_GUARD:
+        if e >= _SURFACE_GUARD.bit_length() or (q - 1) * q**e > _SURFACE_GUARD:
             raise SizeGuard(f"{q - 1} x {q}^{e} surface points exceed the greedy guard")
         run = {"seed": seed, "restarts": _RESTARTS}
     points = list(itertools.product(range(q), repeat=n))

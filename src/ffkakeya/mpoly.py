@@ -106,6 +106,21 @@ def _add_into(terms: dict, other: dict, add) -> dict:
     return terms
 
 
+class PowerTable(dict):
+    """c^e for each exponent e read, computed by `pow_` on its first read
+    (0^0 = 1), so a sparse polynomial of high degree costs no more than
+    its terms read."""
+
+    __slots__ = ("pow_", "c")
+
+    def __init__(self, spec: FieldSpec, c: int):
+        self.pow_, self.c = spec.pow_, c
+
+    def __missing__(self, e: int) -> int:
+        w = self[e] = self.pow_(self.c, e)
+        return w
+
+
 # --- the polynomial type ---
 
 
@@ -218,10 +233,7 @@ class SparsePoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = SparsePoly.one(self.spec, self.arity)
-        for _ in range(e):
-            result = result * self
-        return result
+        return _power({0: SparsePoly.one(self.spec, self.arity), 1: self}, e)
 
     # -- evaluation --
 
@@ -229,20 +241,21 @@ class SparsePoly:
         """Evaluate at a point given as a tuple of element codes."""
         if len(point) != self.arity:
             raise ArityMismatch(f"point arity {len(point)} vs {self.arity}")
-        spec = self.spec
-        powers = {}
+        return self.eval_powers([PowerTable(self.spec, c) for c in point])
+
+    def eval_powers(self, powers) -> int:
+        """Evaluate at the point whose coordinates' power tables are `powers`.
+
+        Each term reads its powers from the tables, so polynomials evaluated
+        at one point, or at points that share coordinate values, can share
+        the tables and compute each power once."""
+        add, mul = self.spec.add, self.spec.mul
         acc = 0
         for exp, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exp):
+            for table, e in zip(powers, exp):
                 if e:
-                    key = (i, e)
-                    w = powers.get(key)
-                    if w is None:
-                        w = spec.pow_(point[i], e)
-                        powers[key] = w
-                    v = spec.mul(v, w)
-            acc = spec.add(acc, v)
+                    c = mul(c, table[e])
+            acc = add(acc, c)
         return acc
 
     def __repr__(self):

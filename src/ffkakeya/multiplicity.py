@@ -6,13 +6,12 @@ orders (`mpoly.derivatives`: by increasing total degree, lex within a
 level) and takes the first order whose derivative is nonzero at the
 point, so the witness is canonical.
 
-Each walk evaluates all its derivatives at a point from one table of
-powers per coordinate, made once per point: the table of a_i holds a_i^e
-for each exponent e a derivative has read, computed by `pow_` on its first
-read (0^0 = 1), so a power is computed once per point, not once per
-derivative, and a sparse P of high degree costs no more than its terms
-read.  The audit makes one table per value of A, and every point of its
-grid reads its coordinates' tables.
+Each walk evaluates all its derivatives at a point through
+`SparsePoly.eval_powers`, from one `mpoly.PowerTable` per coordinate, made
+once per point: the table of a_i holds a_i^e for each exponent e a
+derivative has read, so a power is computed once per point, not once per
+derivative.  The audit makes one table per value of A, and every point of
+its grid reads its coordinates' tables.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard, ZeroPolynomial
 from .ffield import FieldSpec
-from .mpoly import SparsePoly, derivatives
+from .mpoly import PowerTable, SparsePoly, derivatives
 
 _AUDIT_GUARD = 10**7
 INFINITE = math.inf  # mult(0, a)
@@ -40,31 +39,11 @@ def _point_codes(spec: FieldSpec, point, arity: int):
     return codes
 
 
-class _Powers(dict):
-    """c^e for each exponent e read, computed on its first read."""
-
-    __slots__ = ("pow_", "c")
-
-    def __init__(self, spec: FieldSpec, c: int):
-        self.pow_, self.c = spec.pow_, c
-
-    def __missing__(self, e: int) -> int:
-        w = self[e] = self.pow_(self.c, e)
-        return w
-
-
-def _first_nonzero(spec: FieldSpec, derivs, powers):
+def _first_nonzero(derivs, powers):
     """The first beta of a derivative walk whose derivative is nonzero at the
     point whose coordinates' power tables are `powers`, or None."""
-    add, mul = spec.add, spec.mul
     for beta, D in derivs:
-        acc = 0
-        for exp, c in D.terms.items():
-            for table, e in zip(powers, exp):
-                if e:
-                    c = mul(c, table[e])
-            acc = add(acc, c)
-        if acc:
+        if D.eval_powers(powers):
             return beta
     return None
 
@@ -80,8 +59,8 @@ def mult_at(P: SparsePoly, point) -> MultReport:
     """Exact multiplicity of P at a point, with the witnessing derivative order."""
     spec = P.spec
     codes = _point_codes(spec, point, P.arity)
-    powers = [_Powers(spec, c) for c in codes]
-    beta = _first_nonzero(spec, derivatives(P), powers)
+    powers = [PowerTable(spec, c) for c in codes]
+    beta = _first_nonzero(derivatives(P), powers)
     if beta is None:
         return MultReport(codes, INFINITE, None)
     return MultReport(codes, sum(beta), beta)
@@ -102,8 +81,8 @@ def vanishes_with_mult(P: SparsePoly, A, M: int) -> VanishCheck:
     derivs = list(derivatives(P, M - 1))
     for point in A:
         codes = _point_codes(spec, point, P.arity)
-        powers = [_Powers(spec, c) for c in codes]
-        beta = _first_nonzero(spec, derivs, powers)
+        powers = [PowerTable(spec, c) for c in codes]
+        beta = _first_nonzero(derivs, powers)
         if beta is not None:
             return VanishCheck(False, codes, beta)
     return VanishCheck(True)
@@ -125,9 +104,9 @@ def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
     derivs = list(derivatives(P))
-    table = {c: _Powers(spec, c) for c in codes}
+    table = {c: PowerTable(spec, c) for c in codes}
     total = sum(
-        sum(_first_nonzero(spec, derivs, [table[c] for c in point]))
+        sum(_first_nonzero(derivs, [table[c] for c in point]))
         for point in itertools.product(codes, repeat=P.arity)
     )
     bound = P.degree * len(codes) ** (P.arity - 1)

@@ -398,9 +398,9 @@ class TestSurfaceMasks:
         points = list(itertools.product(range(q), repeat=n))
         lowers = brkset._lower_parts(spec, n, ell)
         calls = []
-        eval_codes = SparsePoly.eval_codes
-        monkeypatch.setattr(SparsePoly, "eval_codes",
-                            lambda f, point: calls.append(point) or eval_codes(f, point))
+        eval_powers = SparsePoly.eval_powers
+        monkeypatch.setattr(SparsePoly, "eval_powers",
+                            lambda f, powers: calls.append(powers) or eval_powers(f, powers))
         brkset._distinct_level_masks(spec, g, points, lowers)
         assert 0 < len(calls) <= len(lowers) * q ** (n - 1)
 

@@ -70,6 +70,26 @@ def test_verify_set_failure_exit_1(tmp_path, square_instance_file, capsys):
     assert out["ok"] is False and "missing" in out
 
 
+@pytest.mark.parametrize("command", ["build-set", "verify-set"])
+def test_build_and_verify_set_refuse_huge_space_at_once(tmp_path, capsys, command):
+    # F_7^10 has 7^10 points: refused from q and n, before any surface is built
+    spec, n = field_for_q(7), 10
+    g = SparsePoly(spec, n - 1, {(2,) + (0,) * (n - 2): spec.one})
+    zero = SparsePoly.zero(spec, n - 1)
+    inst = BrkInstance(spec, n, 2, g, {r: PerRho((0,) * n, zero) for r in range(7)})
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(inst.to_json()))
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps(PointSet(spec, n, frozenset([(0,) * n])).to_json()))
+    args = {"build-set": ["build-set"], "verify-set": ["verify-set", "--set", str(set_path)]}
+    start = time.perf_counter()
+    assert main(args[command] + ["--instance", str(inst_path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SizeGuard: 7^10 points of F_q^n exceed the surface guard\n"
+
+
 def test_vanish_finds_parabola(tmp_path, square_instance_file, capsys):
     inst_path, inst = square_instance_file
     S = generate_set(inst)

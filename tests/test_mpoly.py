@@ -5,9 +5,10 @@ import random
 import pytest
 
 from ffkakeya.errors import ArityMismatch, SizeGuard, ZeroPolynomial
-from ffkakeya.ffield import make_field
+from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import (
     NEG_INFINITY,
+    PowerTable,
     SparsePoly,
     binom_multi,
     binom_multi_mod,
@@ -259,6 +260,33 @@ def _compositions_oracle(n, total):
     for first in range(total + 1):
         for rest in _compositions_oracle(n - 1, total - first):
             yield (first,) + rest
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 9])
+def test_evaluation_matches_substituted_constants(q):
+    # compose builds each power of a constant by polynomial products, not by
+    # `pow_`: an oracle for both evaluators over prime and extension fields,
+    # with zero coordinates (0^0 = 1), exponents >= q and the zero
+    # polynomial, and one set of power tables shared by every polynomial
+    spec = field_for_q(q)
+    rng = random.Random(q)
+    tables = [PowerTable(spec, c) for c in range(q)]
+    for n in (1, 2, 3):
+        polys = [SparsePoly.zero(spec, n)] + [random_poly(rng, spec, n, 3 * q) for _ in range(6)]
+        assert any(max(e) >= q for P in polys for e in P.terms)
+        points = [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n)) for _ in range(5)]
+        points.append(tuple(c if i % 2 else 0 for i, c in enumerate(points[-1])))
+        for P in polys:
+            for point in points:
+                value = compose(P, [SparsePoly.constant(spec, 1, c) for c in point])
+                want = value.terms.get((0,), 0)
+                assert P.eval_codes(point) == want
+                assert P.eval_powers([tables[c] for c in point]) == want
+    for P in (SparsePoly.zero(spec, 2), random_poly(rng, spec, 2, 3), random_poly(rng, spec, 2, 3)):
+        product = SparsePoly.one(spec, 2)
+        for e in range(8):
+            assert P ** e == product
+            product = product * P
 
 
 def test_compositions_match_recursive_oracle():
