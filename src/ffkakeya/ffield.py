@@ -287,6 +287,8 @@ class FieldSpec:
     # -- identity / serialization --
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FieldSpec)
             and self.p == other.p

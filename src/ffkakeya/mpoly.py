@@ -95,17 +95,6 @@ def monomials_upto(n: int, max_degree: int):
     return out
 
 
-def _add_into(terms: dict, other: dict, add) -> dict:
-    """Add the terms of `other` into `terms` in place, dropping zero sums."""
-    for e, c in other.items():
-        s = add(terms.get(e, 0), c)
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-    return terms
-
-
 class PowerTable(dict):
     """c^e for each exponent e read, computed by `pow_` on its first read
     (0^0 = 1), so a sparse polynomial of high degree costs no more than
@@ -202,7 +191,14 @@ class SparsePoly:
 
     def __add__(self, other):
         self._check(other)
-        terms = _add_into(dict(self.terms), other.terms, self.spec.add)
+        add = self.spec.add
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = add(terms.get(e, 0), c)
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
         return SparsePoly._raw(self.spec, self.arity, terms)
 
     def __neg__(self):
@@ -279,17 +275,28 @@ def hasse_derivative(P: SparsePoly, beta) -> SparsePoly:
     """Termwise Hasse derivative: c_a * C(a, beta) * x^(a - beta).
 
     a -> a - beta is injective, so no two terms meet and a term is kept
-    exactly when C(a, beta) is nonzero in the field."""
+    exactly when C(a, beta) is nonzero in the field.  C(a, beta) mod p is
+    taken in one pass over the coordinates: it stops at the first
+    beta_i > a_i, skips the factors with beta_i = 0, and raises `SizeGuard`
+    where `binom_multi` would."""
     beta = tuple(beta)
     if len(beta) != P.arity:
         raise ArityMismatch(f"beta arity {len(beta)} vs {P.arity}")
     spec = P.spec
-    mul, from_int, minus = spec.mul, spec.from_int, operator.sub
+    p, comb, mul, from_int, minus = spec.p, math.comb, spec.mul, spec.from_int, operator.sub
     terms = {}
     for alpha, c in P.terms.items():
-        bc = from_int(binom_multi(alpha, beta))
-        if bc:
-            terms[tuple(map(minus, alpha, beta))] = mul(c, bc)
+        bc = 1
+        for x, y in zip(alpha, beta):
+            if y > x:
+                break
+            if x >= _EXP_GUARD:
+                raise SizeGuard(f"exponent {x} exceeds guard {_EXP_GUARD}")
+            if y:
+                bc = bc * comb(x, y) % p
+        else:
+            if bc:
+                terms[tuple(map(minus, alpha, beta))] = mul(c, from_int(bc))
     return SparsePoly._raw(spec, P.arity, terms)
 
 
@@ -308,18 +315,22 @@ def derivatives(P: SparsePoly, top=math.inf):
 
 def _power(cache: dict, e: int) -> SparsePoly:
     """h^e by square-and-multiply, h^(e//2) * h^(e - e//2), from `cache`,
-    which maps exponents to powers of h, holds h^0 and h^1 and keeps each
-    power built.  A new power costs one product: the exponents 0 to E cost
-    E - 1, as building them one at a time does, and a lone E about
-    2 log2(E)."""
+    which maps exponents to powers of h, holds h^1 (and h^0 if e may be
+    0) and keeps each power built.  A new power costs one product: the
+    exponents 0 to E cost E - 1, as building them one at a time does, and
+    a lone E about 2 log2(E)."""
     if e not in cache:
         cache[e] = _power(cache, e // 2) * _power(cache, e - e // 2)
     return cache[e]
 
 
 def compose(P: SparsePoly, h) -> SparsePoly:
-    """Exact substitution P(h_1, ..., h_n); each h_i^e is built on demand
-    (`_power`) and memoized, and each term is added into one dict."""
+    """Exact substitution P(h_1, ..., h_n).
+
+    A term c x^e multiplies only the powers h_i^(e_i) with e_i >= 1, each
+    built on demand (`_power`) and memoized, and c is multiplied into the
+    product's coefficients as they are added into the one output dict; a
+    constant term adds c at the zero exponent."""
     h = list(h)
     if len(h) != P.arity:
         raise ArityMismatch(f"{len(h)} substituents for arity {P.arity}")
@@ -332,13 +343,22 @@ def compose(P: SparsePoly, h) -> SparsePoly:
             raise MixedFields("substituents over a different field")
         if hi.arity != out_arity:
             raise ArityMismatch("substituents with mixed arity")
-    powers = [{0: SparsePoly.one(spec, out_arity), 1: hi} for hi in h]
+    add, mul = spec.add, spec.mul
+    powers = [{1: hi} for hi in h]  # `_power` reaches h^0 only for e = 0
+    const = {(0,) * out_arity: spec.one}
     terms = {}
     for exp, c in P.terms.items():
-        term = SparsePoly.constant(spec, out_arity, c)
+        product = None
         for cache, e in zip(powers, exp):
-            term = term * _power(cache, e)
-        _add_into(terms, term.terms, spec.add)
+            if e:
+                hp = _power(cache, e)
+                product = hp if product is None else product * hp
+        for e, d in (const if product is None else product.terms).items():
+            s = add(terms.get(e, 0), mul(c, d))
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
     return SparsePoly._raw(spec, out_arity, terms)
 
 
@@ -346,7 +366,9 @@ def expand_shift(P: SparsePoly) -> dict:
     """Hasse-derivative table by brute-force expansion of P(x+y).
 
     Substitutes x_i + y_i in 2n variables via generic composition and
-    collects coefficients of y^beta.  Independent oracle for
+    buckets its coefficients by y^beta: each (x, y) exponent appears once in
+    the composition, with a nonzero coefficient, so every bucket is a
+    nonzero P^(beta) as it stands.  Independent oracle for
     `hasse_derivative`: no binomial coefficients are used here.
     """
     n = P.arity
@@ -356,18 +378,10 @@ def expand_shift(P: SparsePoly) -> dict:
         xi = SparsePoly.variable(spec, 2 * n, i)
         yi = SparsePoly.variable(spec, 2 * n, n + i)
         shifted_vars.append(xi + yi)
-    big = compose(P, shifted_vars)
     table = {}
-    for exp, c in big.terms.items():
-        x_part, y_part = exp[:n], exp[n:]
-        bucket = table.setdefault(y_part, {})
-        bucket[x_part] = spec.add(bucket.get(x_part, 0), c)
-    out = {}
-    for beta, terms in table.items():
-        poly = SparsePoly(spec, n, terms)
-        if not poly.is_zero():
-            out[beta] = poly
-    return out
+    for exp, c in compose(P, shifted_vars).terms.items():
+        table.setdefault(exp[n:], {})[exp[:n]] = c
+    return {beta: SparsePoly._raw(spec, n, terms) for beta, terms in table.items()}
 
 
 # --- serialization ---

@@ -4,7 +4,10 @@ mult(P, a) is the largest M such that every Hasse derivative of order
 < M vanishes at a.  Every check here reads one walk over the derivative
 orders (`mpoly.derivatives`: by increasing total degree, lex within a
 level) and takes the first order whose derivative is nonzero at the
-point, so the witness is canonical.
+point, so the witness is canonical.  The list walks of
+`vanishes_with_mult` and the audit leave out the derivatives that are
+identically zero: such a derivative is never the first nonzero one, so
+every witness is the same without it.
 
 Each walk evaluates all its derivatives at a point through
 `SparsePoly.eval_powers`, from one `mpoly.PowerTable` per coordinate, made
@@ -78,7 +81,7 @@ def vanishes_with_mult(P: SparsePoly, A, M: int) -> VanishCheck:
     if M < 0:
         raise ValueError("multiplicity M must be >= 0")
     spec = P.spec
-    derivs = list(derivatives(P, M - 1))
+    derivs = [(beta, D) for beta, D in derivatives(P, M - 1) if D.terms]
     for point in A:
         codes = _point_codes(spec, point, P.arity)
         powers = [PowerTable(spec, c) for c in codes]
@@ -103,7 +106,7 @@ def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
     codes = [_point_codes(spec, (a,), 1)[0] for a in A]
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
-    derivs = list(derivatives(P))
+    derivs = [(beta, D) for beta, D in derivatives(P) if D.terms]
     table = {c: PowerTable(spec, c) for c in codes}
     total = sum(
         sum(_first_nonzero(derivs, [table[c] for c in point]))

@@ -20,7 +20,6 @@ from .brkset import BrkInstance, PerRho, _first_failing_w, _surface_points, gene
 from .errors import BadEll, DimensionMismatch, PreconditionFailed, SizeGuard
 from .ffield import FieldSpec, field_for_q
 from .mpoly import (
-    PowerTable,
     SparsePoly,
     binom_multi_mod,
     hasse_derivative,
@@ -106,24 +105,25 @@ def key_lemma_table(inst: KeyLemmaInstance) -> dict:
     # building an order in n variables copies its prefixes, up to n^2 entries
     if orders * inst.n**2 > _ENUM_GUARD:
         raise SizeGuard(f"{orders} orders in {inst.n} variables exceed guard")
-    mul = spec.mul
-    rhos = {rho: [PowerTable(spec, rho)] for rho in range(1, spec.q)}  # shared by all beta
+    add, mul, pow_ = spec.add, spec.mul, spec.pow_
     table = {}
     for beta in monomials_upto(inst.n, inst.k - 1):
         wb = sum(beta)
-        # f_beta as a polynomial in rho: each term's rho-free factor
-        # c_alpha C(alpha, beta) b^(alpha_n - beta_n) at rho^(|alpha| - |beta|),
-        # an exponent no other alpha shares
-        terms = {}
+        # the rho-free factor c_alpha C(alpha, beta) b^(alpha_n - beta_n) of
+        # each term, with its power of rho; most (rho, e) pairs are met once,
+        # so plain `pow_` calls beat a shared `PowerTable` here
+        terms = []
         for alpha in inst.exponents:
             bc = binom_multi_mod(alpha, beta, spec.p)
             if bc == 0:
                 continue
             v = mul(inst.coeffs[alpha], spec.from_int(bc))
-            terms[(sum(alpha) - wb,)] = mul(v, spec.pow_(inst.b, alpha[-1] - beta[-1]))
-        f_beta = SparsePoly(spec, 1, terms)
-        for rho, powers in rhos.items():
-            table[(beta, rho)] = f_beta.eval_powers(powers)
+            terms.append((mul(v, pow_(inst.b, alpha[-1] - beta[-1])), sum(alpha) - wb))
+        for rho in range(1, spec.q):
+            acc = 0
+            for v, e in terms:
+                acc = add(acc, mul(v, pow_(rho, e)))
+            table[(beta, rho)] = acc
     return table
 
 

@@ -31,6 +31,7 @@ _field = functools.cache(field_for_q)
 # the compositions as a tuple per (arity, total); `Random.choice` reads only
 # the length and one index, so the draws are those from a fresh list
 _compositions = functools.cache(lambda arity, total: tuple(compositions(arity, total)))
+_monomials = functools.cache(lambda arity, degree: tuple(monomials_upto(arity, degree)))
 
 _MAX_TERMS = 8  # terms drawn per random polynomial, at most
 _POLYS_PER_FIELD = 500  # hasse_oracle
@@ -64,7 +65,7 @@ def hasse_oracle_check(seed: int = 0) -> Certificate:
             P = _random_poly(rng, spec, n, rng.randint(0, 6))
             table = expand_shift(P)
             zero = SparsePoly.zero(spec, n)
-            for beta in monomials_upto(n, max(P.degree, 0)):
+            for beta in _monomials(n, max(P.degree, 0)):
                 lhs = hasse_derivative(P, beta)
                 rhs = table.get(beta, zero)
                 checked += 1

@@ -181,6 +181,38 @@ class TestHasseDerivative:
             assert hasse_derivative(P + Q, beta) == \
                 hasse_derivative(P, beta) + hasse_derivative(Q, beta)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matches_exact_binomial_reference(self, q):
+        # exponents up to 3q, so Lucas zeros (C(a, beta) = 0 mod p with
+        # beta <= a) appear, and beta drawn past a, so beta <= a fails too
+        spec = field_for_q(q)
+        rng = random.Random(20 + q)
+        lucas_zeros = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            P = random_poly(rng, spec, n, 3 * q)
+            for _ in range(8):
+                beta = tuple(rng.randint(0, 2 * q) for _ in range(n))
+                terms = {}
+                for alpha, c in P.terms.items():
+                    exact = binom_multi(alpha, beta)
+                    bc = spec.from_int(exact)
+                    lucas_zeros += exact > 0 and not bc
+                    if bc:
+                        terms[tuple(a - b for a, b in zip(alpha, beta))] = spec.mul(c, bc)
+                assert hasse_derivative(P, beta) == SparsePoly(spec, n, terms), (P, beta)
+        assert lucas_zeros
+
+    def test_exponent_guard_as_binom_multi(self, F5):
+        # the guard holds on a coordinate with beta_i = 0, but not past the
+        # first coordinate with beta_i > alpha_i
+        big = 1 << 20
+        P = SparsePoly.from_int_terms(F5, 2, {(big, 0): 1})
+        with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+            hasse_derivative(P, (0, 1))
+        Q = SparsePoly.from_int_terms(F5, 2, {(0, big): 1})
+        assert hasse_derivative(Q, (1, 0)).is_zero()
+
 
 class TestExpandShift:
     def test_linear(self, F5):
@@ -194,9 +226,9 @@ class TestExpandShift:
         table = expand_shift(P)
         assert set(table) == {(0,), (2,)}  # (x+y)^2 = x^2 + y^2
 
-    def test_oracle_agreement(self, F2, F3, F5, F9):
+    def test_oracle_agreement(self, F2, F3, F5, F9, F4, F7):
         rng = random.Random(5)
-        for spec in (F2, F3, F5, F9):
+        for spec in (F2, F3, F5, F9, F4, F7, field_for_q(8)):
             for _ in range(30):
                 n = rng.randint(1, 3)
                 P = random_poly(rng, spec, n, 5)
@@ -205,6 +237,19 @@ class TestExpandShift:
                 for beta in monomials_upto(n, deg):
                     assert hasse_derivative(P, beta) == \
                         table.get(beta, SparsePoly.zero(spec, n))
+
+
+def _compose_reference(P, h):
+    """Sum of c * h_1^e_1 * ... * h_n^e_n over the terms of P, each power
+    taken factor by factor with `*`."""
+    expected = SparsePoly.zero(P.spec, h[0].arity)
+    for exp, c in P.terms.items():
+        term = SparsePoly.constant(P.spec, h[0].arity, c)
+        for hi, e in zip(h, exp):
+            for _ in range(e):
+                term = term * hi
+        expected = expected + term
+    return expected
 
 
 class TestCompose:
@@ -231,14 +276,7 @@ class TestCompose:
                                               (2, 1): 4})
         h = [SparsePoly.from_int_terms(F5, 2, {(1, 0): 1, (0, 0): 2}),
              SparsePoly.from_int_terms(F5, 2, {(0, 1): 3, (1, 1): 1})]
-        expected = SparsePoly.zero(F5, 2)
-        for exp, c in P.terms.items():
-            term = SparsePoly.constant(F5, 2, c)
-            for hi, e in zip(h, exp):
-                for _ in range(e):
-                    term = term * hi
-            expected = expected + term
-        assert compose(P, h) == expected
+        assert compose(P, h) == _compose_reference(P, h)
 
     def test_degree_bound(self, F5):
         rng = random.Random(6)
@@ -250,6 +288,31 @@ class TestCompose:
             if not out.is_zero() and not P.is_zero():
                 hmax = max((hi.degree for hi in h if not hi.is_zero()), default=0)
                 assert out.degree <= P.degree * max(hmax, 1)
+
+    def test_cancelling_terms(self, F5):
+        # x0*x1 - x0^2 + 2 at (t + 1, t - 1): the t^2 terms and the
+        # constants cancel, leaving -2t
+        P = SparsePoly.from_int_terms(F5, 2, {(1, 1): 1, (2, 0): -1, (0, 0): 2})
+        h = [SparsePoly.from_int_terms(F5, 1, {(1,): 1, (0,): 1}),
+             SparsePoly.from_int_terms(F5, 1, {(1,): 1, (0,): -1})]
+        assert compose(P, h).terms == {(1,): 3}
+
+    @pytest.mark.parametrize("q", [2, 4, 5, 9])
+    def test_matches_product_of_powers(self, q):
+        # c * prod h_i^e_i built with `*`, summed with `+`: constant terms,
+        # zero exponents, zero substituents, cancellation, and substituents
+        # of fewer and more variables than P
+        spec = field_for_q(q)
+        rng = random.Random(30 + q)
+        for n, m in [(1, 1), (2, 1), (1, 3), (2, 3), (3, 2)]:
+            for trial in range(12):
+                P = random_poly(rng, spec, n, 4) + \
+                    SparsePoly.constant(spec, n, rng.randrange(1, q))
+                P = P + SparsePoly.variable(spec, n, 0) ** rng.randint(0, 3)
+                h = [random_poly(rng, spec, m, 2, max_terms=3) for _ in range(n)]
+                if trial == 0:
+                    h[0] = SparsePoly.zero(spec, m)
+                assert compose(P, h) == _compose_reference(P, h), (P, h)
 
 
 def _compositions_oracle(n, total):
