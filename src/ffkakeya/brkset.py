@@ -241,7 +241,8 @@ def proof_params(q: int, ell: int, k: int) -> ProofParams:
     prime_power(q)
     D = k * (q - 1) - 1
     M = (ell + 1) * k - 2 * ell * k // q
-    assert M >= 1 and D >= 0
+    if M < 1 or D < 0:
+        raise AssertionError(f"D = {D} and M = {M} must be at least 0 and 1")
     w = _first_failing_w(q, ell, k, D, M)
     if w is not None:
         raise AssertionError(f"parameter inequality fails at w={w}")
@@ -385,6 +386,8 @@ def min_brk_search(
         size, first = _greedy(levels, random.Random(seed))
     per_rho = {rho: PerRho(*options[i]) for rho, i in enumerate(first)}
     witness = BrkInstance(spec, n, ell, g, per_rho)
-    assert size == len(generate_set(witness))
-    assert size >= ceiling, "theorem bound violated: implementation bug"
+    if size != len(generate_set(witness)):
+        raise AssertionError("search size differs from the size of its witness set")
+    if size < ceiling:
+        raise AssertionError("theorem bound violated: implementation bug")
     return MinSearchResult(mode, size, witness, ceiling, **run)

@@ -9,17 +9,21 @@ incremental row-echelon basis that stops reading rows once the rank equals
 the number of columns.  A solution, when one is needed, comes from
 back-substitution through that basis.
 
-Over a prime field a row is packed into one Python int, one w-bit slot
-per column, with w the first of 16, 32 or 64 bits that holds
+Every row is packed into one Python int of fixed-width slots, with no
+big-int operation per column, and reduced only where it must be: only the
+leading column is reduced as the row is scanned, and each new pivot row is
+unpacked once, reduced and kept as a list, which is the basis the rest of
+the module reads.  There are three layouts.  Over F_p a slot holds a
+column, w bits with w the first of 16, 32 or 64 that holds
 bit_length(ncols*(p-1)^2 + p) + 1: wide enough that a column can take one
 update from every pivot before it is reduced mod p, so that no carry
-crosses into the next column.  Rows are packed and pivots unpacked through
-`array`, whose items have exactly those widths.  Only the leading column
-is reduced as the row is scanned; each new pivot row is unpacked once,
-reduced and kept as a list, which is the basis the rest of the module
-reads.  Over an extension field a row stays a list and is updated in place
-through the field's exp/log tables, touching only the nonzero entries of
-each pivot.
+crosses into the next column.  Over F_{2^m} a slot of 8 bits (16 when
+q > 256) holds a column's code, whose bits are its coefficients, so a row
+is updated by XOR and never carries.  Over F_{p^m} with p odd a column
+takes m slots, one per coefficient, each wide enough for the delayed
+reduction as over F_p.  An extension-field pivot P keeps its m multiples
+t^e * P, made by shifts of the packed row, so that f * P for any entry f
+is a sum of multiples.
 """
 
 from __future__ import annotations
@@ -151,17 +155,67 @@ def build_system(prob: VanishProblem) -> LinearSystem:
     return LinearSystem(cols, row_index, rows)
 
 
-def _slot_type(ncols: int, p: int) -> str:
-    """The `array` typecode of the packed slots for ncols columns over F_p.
+def _slot_type(ncols: int, p: int, m: int = 1) -> str:
+    """The `array` typecode of the packed slots for ncols columns over F_{p^m}.
 
-    A slot needs need = bit_length(ncols*(p-1)^2 + p) + 1 bits (see
-    `_eliminate`), rounded up to the first of 16, 32 or 64 bits; the types
-    are chosen by itemsize, since that of "I" is not fixed.  p < 2^16
-    (`ffield.MAX_Q`) and ncols <= 10^8 (the system guard) keep need <= 60.
+    In characteristic 2 an extension-field slot holds a code: 8 bits up to
+    q = 256, 16 bits above.  Otherwise a slot needs
+    need = bit_length(ncols*m*(p-1)^2 + p) + 1 bits (see `_eliminate`), and
+    for m > 1 also the bits of the Barrett product p(p-1) * g (`_barrett`),
+    rounded up to the first of 16, 32 or 64 bits; the types are chosen by
+    itemsize, since that of "I" is not fixed.  q <= 2^16 (`ffield.MAX_Q`)
+    and ncols <= 10^8 (the system guard) keep need <= 60.
     """
-    need = (ncols * (p - 1) ** 2 + p).bit_length() + 1
-    assert need <= 64, f"{ncols} columns over F_{p} need {need}-bit slots"
+    if p == 2 and m > 1:
+        return "B" if m <= 8 else "H"
+    need = (ncols * m * (p - 1) ** 2 + p).bit_length() + 1
+    if m > 1:
+        need = max(need, (p * (p - 1) * _barrett(p)[1]).bit_length())
+    if need > 64:
+        raise AssertionError(f"{ncols} columns over F_{p ** m} need {need}-bit slots")
     return next(t for t in "HIQ" if 8 * array(t).itemsize >= need)
+
+
+def _barrett(p: int):
+    """(k, g) with (y * g) >> k == y // p for every 0 <= y <= p(p-1).
+
+    g = floor(2^k / p) + 1 = (2^k + e) / p with 0 < e < p, as p is odd, so
+    y * g / 2^k = y / p + y e / (p 2^k), and y e < p^2 (p-1) < 2^k keeps the
+    floor at y // p.
+    """
+    k = (p * p * (p - 1)).bit_length()
+    return k, (1 << k) // p + 1
+
+
+_SWAP = sys.byteorder == "big"  # slots are little-endian, `array` items native
+
+
+def _pack(code: str, entries) -> int:
+    """One int whose slots, low to high, hold the entries."""
+    if code == "B":  # `bytes` builds one-byte slots three times as fast as `array`
+        return int.from_bytes(bytes(entries), "little")
+    items = array(code, entries)
+    if _SWAP:
+        items.byteswap()
+    return int.from_bytes(items.tobytes(), "little")
+
+
+def _unpack(code: str, r: int, count: int) -> array:
+    """The low `count` slots of r, low to high."""
+    items = array(code, r.to_bytes(count * array(code).itemsize, "little"))
+    if _SWAP:
+        items.byteswap()
+    return items
+
+
+def _repeat(value: int, nbytes: int, count: int) -> int:
+    """count copies of an nbytes-wide value, side by side."""
+    return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
+
+
+def _t_to_the_m(spec: FieldSpec) -> int:
+    """Code of t^m mod the modulus, the carry of a multiplication by t."""
+    return spec.pow_(spec.encode((0, 1) + (0,) * (spec.m - 2)), spec.m)
 
 
 def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
@@ -171,72 +225,35 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     on, scaled so that the first is one (all entries before c are zero).
     Rows after the one that completes the rank are never read.
 
-    Over an extension field each row is copied once and reduced in place,
-    in the log domain of the field's tables (`_exp[k]` is g^k for a
-    primitive g, `_log` its inverse).  A new pivot row is scaled by the
-    inverse of its leading entry and kept in the basis, and with it the
-    (column, log) pair of every later nonzero entry.  Eliminating column c
-    with entry f takes ln = log(-f) once and adds exp[ln + log y] to the
-    row at each such column only, so the pivot's zeros cost nothing; in
-    characteristic 2 that addition is XOR.  Both logs are below q - 1, so
-    their sum indexes `_exp` without reduction.
+    Every layout packs a row into one int of fixed-width slots, low to high,
+    through `bytes` or `array`, whose items have exactly those widths, or
+    through a table of each code's bytes, so neither packing a row nor
+    unpacking a pivot costs a big-int operation per column.  A new pivot
+    row is unpacked once, reduced and scaled, and kept both as the basis
+    list, which the rest of the module reads, and packed for later updates.
+    Over a prime field slot j (w bits) holds column j; over an extension
+    field see `_eliminate_xor` (p = 2) and `_eliminate_digits` (odd p).
 
-    Over a prime field each row is packed into one int, slot j (w bits,
-    low to high) holding column j, and reduced only where it must be.  A
-    pivot row is stored fully reduced, so eliminating column c adds
-    (p - f) * pivot, which has no subtraction and so never borrows.  A slot
-    starts below p and gains at most (p-1)^2 from each of at most ncols
-    pivots, so it stays below ncols*(p-1)^2 + p.  w is at least one bit more
-    than that needs (`_slot_type`), so no carry ever crosses a slot and the
-    top bit of every slot is clear.  A row is packed as the bytes of an
-    `array` of its entries, read as one little-endian int, and a pivot's
-    tail is unpacked as the `array` of the int's bytes, so neither costs a
-    big-int operation per column.  Each step reads the low slot first; only
-    when it is zero does it jump to the slot of the lowest set bit, which is
-    exact because each slot's top bit is clear.  That slot alone is reduced
-    mod p, and dropped if it is 0 mod p.  A new pivot row is unpacked once,
-    reduced and scaled, and kept both as the basis list and packed for
-    later updates.
+    Over F_p a pivot row is stored fully reduced, so eliminating column c
+    adds (p - f) * pivot, which has no subtraction and so never borrows.  A
+    slot starts below p and gains at most (p-1)^2 from each of at most
+    ncols pivots, so it stays below ncols*(p-1)^2 + p.  w is at least one
+    bit more than that needs (`_slot_type`), so no carry ever crosses a
+    slot and the top bit of every slot is clear.  Each step reads the low
+    slot first; only when it is zero does it jump to the slot of the lowest
+    set bit, which is exact because each slot's top bit is clear.  That
+    slot alone is reduced mod p, and dropped if it is 0 mod p.
     """
-    basis = {}
     if spec.m > 1:
-        exp, log, q1 = spec._exp, spec._log, spec.q - 1
-        minus = 0 if spec.p == 2 else q1 // 2  # log of -1
-        add = operator.xor if spec.p == 2 else spec.add
-        sparse = {}  # pivot column -> (column, log) of each later nonzero entry
-        for row in rows:
-            row = list(row)
-            for c, f in enumerate(row):
-                if not f:
-                    continue
-                piv = sparse.get(c)
-                if piv is None:
-                    linv = q1 - log[f]
-                    basis[c] = tail = [exp[log[x] + linv] if x else 0 for x in row[c:]]
-                    sparse[c] = [(k, log[y]) for k, y in enumerate(tail[1:], c + 1) if y]
-                    break
-                ln = (log[f] + minus) % q1  # row -= f * pivot, column c is now zero
-                for k, ly in piv:
-                    row[k] = add(row[k], exp[ln + ly])
-            if len(basis) == ncols:
-                break
-        return basis
+        return (_eliminate_xor if spec.p == 2 else _eliminate_digits)(rows, spec, ncols)
+    basis = {}
     p = spec.p
     code = _slot_type(ncols, p)
-    size = array(code).itemsize
-    w = 8 * size
+    w = 8 * array(code).itemsize
     mask = (1 << w) - 1
-    swap = sys.byteorder == "big"  # slots are little-endian, `array` items native
-
-    def pack(entries):
-        items = array(code, entries)
-        if swap:
-            items.byteswap()
-        return int.from_bytes(items.tobytes(), "little")
-
     packed = {}
     for row in rows:
-        r, c = pack(row), 0  # slot 0 of r holds column c
+        r, c = _pack(code, row), 0  # slot 0 of r holds column c
         while r:
             f = r & mask
             if not f:  # jump over the zero slots to the lowest set bit
@@ -252,13 +269,138 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
             piv = packed.get(c)
             if piv is None:
                 inv = spec.inv(f)
-                tail = array(code, r.to_bytes((ncols - c) * size, "little"))
-                if swap:
-                    tail.byteswap()
-                basis[c] = [x * inv % p for x in tail]
-                packed[c] = pack(basis[c])
+                basis[c] = [x * inv % p for x in _unpack(code, r, ncols - c)]
+                packed[c] = _pack(code, basis[c])
                 break
             r = (r + (p - f) * piv) >> w
+            c += 1
+        if len(basis) == ncols:
+            break
+    return basis
+
+
+def _eliminate_xor(rows, spec: FieldSpec, ncols: int) -> dict:
+    """`_eliminate` over F_{2^m}: slot j holds the code of column j.
+
+    Bit b of a code is the coefficient of t^(m-1-b), so adding is XOR,
+    which never carries, and a slot is always exact.  A pivot P keeps its m
+    multiples t^e * P, each made from the last by a shift: c_0 is the top
+    bit of a code, so t * x = ((x >> 1) & keep) ^ ((x & low) * R), where
+    `low` picks bit 0 of each slot, `keep` bits 0 to m-2, and R is the code
+    of t^m.  Eliminating column c with entry f XORs in the multiple of each
+    set bit of f.  A slot's top bit can be set, so the jump over zero slots
+    takes the slot of the lowest set bit's index, not of its length.
+    """
+    m, exp, log, q1 = spec.m, spec._exp, spec._log, spec.q - 1
+    code = _slot_type(ncols, 2, m)
+    size = array(code).itemsize
+    w = 8 * size
+    mask = (1 << w) - 1
+    keep = _repeat((1 << (m - 1)) - 1, size, ncols)
+    low = _repeat(1, size, ncols)
+    R = _t_to_the_m(spec)
+    basis, packed = {}, {}
+    for row in rows:
+        r, c = _pack(code, row), 0  # slot 0 of r holds column c
+        while r:
+            f = r & mask
+            if not f:  # jump over the zero slots to the lowest set bit
+                s = ((r & -r).bit_length() - 1) // w
+                r >>= s * w
+                c += s
+                f = r & mask
+            mults = packed.get(c)
+            if mults is None:
+                linv = q1 - log[f]
+                basis[c] = [exp[log[x] + linv] if x else 0 for x in _unpack(code, r, ncols - c)]
+                x = _pack(code, basis[c])
+                mults = packed[c] = {1 << (m - 1): x}  # bit b -> t^(m-1-b) * pivot
+                for b in range(m - 2, -1, -1):
+                    x = mults[1 << b] = ((x >> 1) & keep) ^ ((x & low) * R)
+                break
+            while f:  # row -= f * pivot, column c is now zero
+                b = f & -f
+                r ^= mults[b]
+                f ^= b
+            r >>= w
+            c += 1
+        if len(basis) == ncols:
+            break
+    return basis
+
+
+def _digit_slots(p: int, m: int, size: int) -> list:
+    """Per code, the little-endian bytes of its m base-p digits, the digit
+    of p^i in slot i of `size` bytes."""
+    digits = [d.to_bytes(size, "little") for d in range(p)]
+    table = [b""]
+    for _ in range(m):
+        table = [t + d for d in digits for t in table]
+    return table
+
+
+def _eliminate_digits(rows, spec: FieldSpec, ncols: int) -> dict:
+    """`_eliminate` over F_{p^m}, p odd: column j takes slots jm to jm+m-1.
+
+    Slot i of a column holds the digit of p^i of its code, which is the
+    coefficient of t^(m-1-i); rows are packed from a table of each code's
+    slots.  As over F_p, a pivot row P is stored reduced and only the
+    leading column is reduced as a row is scanned.  P keeps its m multiples
+    t^e * P, each made from the last by a shift: t * x is
+    ((x >> w) & keep) + (x & low) * R, where `low` picks the low slot of
+    each column, `keep` the others, and R holds the digits of t^m.  Each of
+    its slots is at most p(p-1), and one Barrett step (`_barrett`) reduces
+    them all mod p.  Eliminating column c adds (p - f_i) times the multiple
+    of each nonzero digit f_i of the entry, at most m(p-1)^2 per slot, so a
+    slot stays below ncols*m*(p-1)^2 + p, and `_slot_type` makes w wide
+    enough for that and for the Barrett product: no carry crosses a slot.
+    The jump over zero columns takes the column of the lowest set bit.
+    """
+    p, m, exp, log, q1 = spec.p, spec.m, spec._exp, spec._log, spec.q - 1
+    code = _slot_type(ncols, p, m)
+    size = array(code).itemsize
+    w = 8 * size
+    stride, span = m * w, m * size
+    mask, colmask = (1 << w) - 1, (1 << stride) - 1
+    shifts = range(0, stride, w)
+    powers = [p**i for i in range(m)]
+    k, g = _barrett(p)
+    slots = _digit_slots(p, m, size)
+    keep = _repeat((1 << (stride - w)) - 1, span, ncols)
+    low = _repeat(mask, span, ncols)
+    quot = _repeat((1 << (w - k)) - 1, size, m * ncols)  # the low w - k bits of every slot
+    R = int.from_bytes(slots[_t_to_the_m(spec)], "little")
+    basis, packed = {}, {}
+    for row in rows:
+        r, c = int.from_bytes(b"".join(map(slots.__getitem__, row)), "little"), 0
+        while r:
+            lead = r & colmask
+            if not lead:  # jump over the zero columns to the lowest set bit
+                s = ((r & -r).bit_length() - 1) // stride
+                r >>= s * stride
+                c += s
+                lead = r & colmask
+            mults = packed.get(c)
+            if mults is not None:
+                for s, mult in zip(shifts, mults):  # row -= f * pivot
+                    fi = (lead >> s & mask) % p
+                    if fi:
+                        r += (p - fi) * mult
+            elif any((lead >> s & mask) % p for s in shifts):
+                digits = [x % p for x in _unpack(code, r, (ncols - c) * m)]
+                tail = [sum(map(operator.mul, digits[i:i + m], powers))
+                        for i in range(0, len(digits), m)]
+                linv = q1 - log[tail[0]]
+                basis[c] = [exp[log[x] + linv] if x else 0 for x in tail]
+                x = int.from_bytes(b"".join(map(slots.__getitem__, basis[c])), "little")
+                mults = [x]
+                for _ in range(m - 1):
+                    y = ((x >> w) & keep) + (x & low) * R
+                    x = y - ((y * g >> k) & quot) * p
+                    mults.append(x)
+                packed[c] = mults[::-1]  # slot i -> t^(m-1-i) * pivot
+                break
+            r >>= stride
             c += 1
         if len(basis) == ncols:
             break
@@ -320,7 +462,8 @@ def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
         spec, prob.arity,
         {exp: c for exp, c in zip(cols, solution) if c},
     )
-    assert not poly.is_zero()
-    assert poly.degree <= prob.max_degree
-    assert vanishes_with_mult(poly, prob.points, prob.mult).ok, "solver/verifier mismatch"
+    if poly.is_zero() or poly.degree > prob.max_degree:
+        raise AssertionError("solver returned a zero polynomial or one above degree D")
+    if not vanishes_with_mult(poly, prob.points, prob.mult).ok:
+        raise AssertionError("solver/verifier mismatch")
     return poly

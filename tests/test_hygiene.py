@@ -1,11 +1,13 @@
 """Source hygiene: every name a module imports is used in that module, every
 import sits at module level, every module-level private name (`_x`) is
 referenced in its own module, every `raise` names an exception the CLI
-reports or an internal invariant, and every import is relative or names a
-standard-library module, since the package declares no dependencies.
+reports or an internal invariant, every import is relative or names a
+standard-library module, since the package declares no dependencies, and
+no module has an `assert` statement, since `python -O` strips them: a
+self-check raises AssertionError itself.
 
-Only that last check reads `__init__.py`, because its imports are the
-package's exports.
+The first four checks skip `__init__.py`, whose imports are the package's
+exports.
 """
 
 import ast
@@ -196,3 +198,27 @@ def test_checker_flags_a_foreign_raise():
         "        raise\n"
     )
     assert _foreign_raises(source) == [(8, "OverflowError"), (10, "errors.SizeGuard"), (14, "raise")]
+
+
+def _assert_statements(source: str) -> list:
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert _assert_statements(path.read_text()) == []
+
+
+def test_checker_flags_an_assert_statement():
+    source = (
+        "def check(x):\n"
+        "    assert x, 'stripped under -O'\n"
+        "    if not x:\n"
+        "        raise AssertionError('kept under -O')\n"
+        "    class Inner:\n"
+        "        def run(self):\n"
+        "            assert self\n"
+        "    return 'assert x'\n"
+    )
+    assert _assert_statements(source) == [2, 7]

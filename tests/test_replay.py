@@ -200,6 +200,9 @@ class TestWarmup:
         (3, 12, "2ec4e2b11432083a625e6949fbe20e888379a89b195639ef69f5541b1b3ad36e"),
         (3, 15, "15b9684f23bc1b979da3cf668c9e71787f4a702875e0bd4dca1c2752ae4b4cb4"),
         (7, 7, "02d7fe4e7c2836464a0658c1df73ecd593d7b9769f45c06c7127e10a56b6b314"),
+        # extension fields: F_4 and F_8 run the characteristic-2 layout
+        (4, 4, "6466567abf715d4405a39551e4b0a147f5f54ac67da2a694f84702ee3f8d25c8"),
+        (8, 8, "5aed3fa1d55c86cf0105970bccb851e96e231ad5b23dc2dd3d48023f06eb9412"),
     ])
     def test_certificate_bytes_pinned(self, q, k, digest):
         # SHA-256 of the canonical certificate bytes; any change to the

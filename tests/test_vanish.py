@@ -8,9 +8,10 @@ from ffkakeya.errors import ArityMismatch, SizeGuard
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya import vanish
 from ffkakeya.mpoly import SparsePoly, binom_multi, monomials_upto
-from ffkakeya.multiplicity import vanishes_with_mult
+from ffkakeya.multiplicity import VanishCheck, vanishes_with_mult
 from ffkakeya.vanish import (
     VanishProblem,
+    _barrett,
     _eliminate,
     _null_vector,
     _slot_type,
@@ -79,7 +80,7 @@ def _random_rows(rng, spec, nrows, ncols, rank_cap=None):
     return rows
 
 
-ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 256, 729, 65521]
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256, 512, 729, 65521, 65536]
 
 
 def test_origin_system_kills_linear(F3):
@@ -113,6 +114,15 @@ def test_empty_point_set_answers_without_columns(F5, monkeypatch):
     assert P == SparsePoly.one(F5, 2)
     with pytest.raises(SizeGuard):
         find_vanishing_poly(VanishProblem(F5, 2, [], 20000, 1))
+
+
+def test_solution_is_reverified(F5, monkeypatch):
+    # an explicit check, not an assert statement, so python -O keeps it
+    prob = VanishProblem(F5, 2, [(0, 0), (1, 2)], 2, 1)
+    assert find_vanishing_poly(prob) is not None
+    monkeypatch.setattr(vanish, "vanishes_with_mult", lambda *args: VanishCheck(False))
+    with pytest.raises(AssertionError, match="solver/verifier mismatch"):
+        find_vanishing_poly(prob)
 
 
 def test_single_point_row(F2):
@@ -223,10 +233,10 @@ def test_eliminate_wide_dense_matches_oracle():
         assert _null_vector(basis, spec, ncols) == _oracle_solution(rows, spec, ncols)
 
 
-@pytest.mark.parametrize("q", [256, 729])
+@pytest.mark.parametrize("q", [256, 729, 2**16, 3**10])
 def test_eliminate_wide_dense_extension_matches_oracle(q):
-    # rows over F_2^8 and F_3^6 that combine dozens of generators are dense,
-    # so each elimination step updates a whole tail through the log tables
+    # rows that combine dozens of generators are dense, so each elimination
+    # step adds a multiple of every digit of the entry over a whole tail
     spec = field_for_q(q)
     rng = random.Random(3000 + q)
     for ncols, rank_cap in ((48, 44), (56, 55)):
@@ -247,8 +257,8 @@ def _assert_basis_matches_oracle(rows, spec, ncols):
     return basis
 
 
-def _slot_bits(ncols, p):
-    return 8 * array(_slot_type(ncols, p)).itemsize
+def _slot_bits(ncols, p, m=1):
+    return 8 * array(_slot_type(ncols, p, m)).itemsize
 
 
 @pytest.mark.parametrize("p,ncols,bits", [
@@ -260,6 +270,53 @@ def _slot_bits(ncols, p):
 def test_slot_width_rounds_need_up(p, ncols, bits):
     # need = bit_length(ncols * (p-1)^2 + p) + 1, rounded up to 16, 32 or 64
     assert _slot_bits(ncols, p) == bits
+
+
+@pytest.mark.parametrize("p,m,ncols,bits", [
+    (2, 2, 1, 8), (2, 8, 10**8, 8), (2, 9, 1, 16), (2, 16, 10**8, 16),  # a code per slot
+    (3, 6, 1365, 16), (3, 6, 1366, 32),  # 1365 * 6 * 2^2 + 3 = 2^15 - 5
+    (13, 2, 113, 16), (13, 2, 114, 32),  # 113 * 2 * 12^2 + 13 = 2^15 - 211
+    (17, 2, 1, 32),  # the Barrett product 17 * 16 * 482 needs 18 bits
+    (251, 2, 17179, 32), (251, 2, 17180, 64),
+])
+def test_extension_slot_width(p, m, ncols, bits):
+    # in characteristic 2 a slot holds a code; for odd p each of a column's m
+    # digit slots needs bit_length(ncols*m*(p-1)^2 + p) + 1 bits and room for
+    # the Barrett product, rounded up to 16, 32 or 64
+    assert _slot_bits(ncols, p, m) == bits
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 251])
+def test_barrett_step_divides_every_slot_value(p):
+    k, g = _barrett(p)
+    assert all(y * g >> k == y // p for y in range(p * (p - 1) + 1))
+
+
+@pytest.mark.parametrize("q,ncols,bits", [
+    (256, 14, 8), (512, 14, 16), (2**16, 14, 16),
+    (169, 113, 16), (169, 114, 32), (289, 14, 32),
+])
+def test_eliminate_extension_slot_widths_match_oracle(q, ncols, bits):
+    spec = field_for_q(q)
+    assert _slot_bits(ncols, spec.p, spec.m) == bits
+    rng = random.Random(5000 + q + ncols)
+    for nrows in (1, 9, 24):
+        for rank_cap in (None, 1, 8):
+            _assert_basis_matches_oracle(_random_rows(rng, spec, nrows, ncols, rank_cap), spec, ncols)
+
+
+@pytest.mark.parametrize("q", [256, 2**16])
+def test_eliminate_jumps_zero_slots_to_a_set_top_bit(q):
+    # in characteristic 2 a slot is a whole code, so its top bit can be its
+    # lowest set bit: a jump past zero slots must land on that slot, not on
+    # the next one.  The second row becomes (0, 0, 0, 0, top, 1) after the
+    # first pivot; the third has top alone in column 2.
+    spec = field_for_q(q)
+    top = q // 2
+    rows = [[1, 0, 0, 0, 3, 1], [1, 0, 0, 0, top ^ 3, 0], [0, 0, top, 0, 0, 0]]
+    basis = _assert_basis_matches_oracle(rows, spec, 6)
+    assert sorted(basis) == [0, 2, 4]
+    assert _assert_basis_matches_oracle([[0, 0, 0, top]], spec, 4) == {3: [1 << (spec.m - 1)]}
 
 
 @pytest.mark.parametrize("q,bits", [(7, 16), (257, 32), (65521, 64)])
