@@ -380,8 +380,7 @@ def min_brk_search(
     options = [(a, lower) for a in points for lower in lowers]
     levels = _distinct_level_masks(spec, g, points, lowers)
     if mode == "exhaustive":
-        size, idx = kernels.min_union([list(level) for level in levels])
-        first = [list(level.values())[i] for level, i in zip(levels, idx)]
+        size, first = kernels.min_union(levels)
     else:
         size, first = _greedy(levels, random.Random(seed))
     per_rho = {rho: PerRho(*options[i]) for rho, i in enumerate(first)}

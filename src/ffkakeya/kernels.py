@@ -9,30 +9,32 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def min_union(options):
+def min_union(levels):
     """Minimum-popcount union over one mask choice per level.
 
-    `options` is a list (one entry per level) of nonempty lists of int
-    bitmasks.  Returns (min_size, indices) where indices is the lex-least
-    choice achieving the minimum.  Branches whose partial union already
-    matches the best size are pruned (unions only grow).
+    `levels` is a list of nonempty dicts {int bitmask: first option}, one
+    per level, each in option order.  Returns (min_size, first) where first
+    holds the option of each level's chosen mask, for the lex-least choice
+    (by position in each dict) achieving the minimum.  Branches whose
+    partial union already matches the best size are pruned (unions only
+    grow).
     """
-    depth = len(options)
+    depth = len(levels)
     best_size = None
-    best_idx = None
-    idx = [0] * depth
+    best_first = None
+    first = [None] * depth
 
     def walk(level, acc):
-        nonlocal best_size, best_idx
+        nonlocal best_size, best_first
         if best_size is not None and acc.bit_count() >= best_size:
             return
         if level == depth:
             best_size = acc.bit_count()
-            best_idx = tuple(idx)
+            best_first = list(first)
             return
-        for i, mask in enumerate(options[level]):
-            idx[level] = i
+        for mask, option in levels[level].items():
+            first[level] = option
             walk(level + 1, acc | mask)
 
     walk(0, 0)
-    return best_size, best_idx
+    return best_size, best_first

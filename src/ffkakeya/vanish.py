@@ -22,8 +22,9 @@ q > 256) holds a column's code, whose bits are its coefficients, so a row
 is updated by XOR and never carries.  Over F_{p^m} with p odd a column
 takes m slots, one per coefficient, each wide enough for the delayed
 reduction as over F_p.  An extension-field pivot P keeps its m multiples
-t^e * P, made by shifts of the packed row, so that f * P for any entry f
-is a sum of multiples.
+t^e * P, so that f * P for any entry f is a sum of multiples.  In
+characteristic 2 they are made by shifts of the packed row; for odd p
+each is the pivot row scaled in the field and packed like a row.
 """
 
 from __future__ import annotations
@@ -160,8 +161,7 @@ def _slot_type(ncols: int, p: int, m: int = 1) -> str:
 
     In characteristic 2 an extension-field slot holds a code: 8 bits up to
     q = 256, 16 bits above.  Otherwise a slot needs
-    need = bit_length(ncols*m*(p-1)^2 + p) + 1 bits (see `_eliminate`), and
-    for m > 1 also the bits of the Barrett product p(p-1) * g (`_barrett`),
+    need = bit_length(ncols*m*(p-1)^2 + p) + 1 bits (see `_eliminate`),
     rounded up to the first of 16, 32 or 64 bits; the types are chosen by
     itemsize, since that of "I" is not fixed.  q <= 2^16 (`ffield.MAX_Q`)
     and ncols <= 10^8 (the system guard) keep need <= 60.
@@ -169,22 +169,9 @@ def _slot_type(ncols: int, p: int, m: int = 1) -> str:
     if p == 2 and m > 1:
         return "B" if m <= 8 else "H"
     need = (ncols * m * (p - 1) ** 2 + p).bit_length() + 1
-    if m > 1:
-        need = max(need, (p * (p - 1) * _barrett(p)[1]).bit_length())
     if need > 64:
         raise AssertionError(f"{ncols} columns over F_{p ** m} need {need}-bit slots")
     return next(t for t in "HIQ" if 8 * array(t).itemsize >= need)
-
-
-def _barrett(p: int):
-    """(k, g) with (y * g) >> k == y // p for every 0 <= y <= p(p-1).
-
-    g = floor(2^k / p) + 1 = (2^k + e) / p with 0 < e < p, as p is odd, so
-    y * g / 2^k = y / p + y e / (p 2^k), and y e < p^2 (p-1) < 2^k keeps the
-    floor at y // p.
-    """
-    k = (p * p * (p - 1)).bit_length()
-    return k, (1 << k) // p + 1
 
 
 _SWAP = sys.byteorder == "big"  # slots are little-endian, `array` items native
@@ -213,9 +200,9 @@ def _repeat(value: int, nbytes: int, count: int) -> int:
     return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
 
 
-def _t_to_the_m(spec: FieldSpec) -> int:
-    """Code of t^m mod the modulus, the carry of a multiplication by t."""
-    return spec.pow_(spec.encode((0, 1) + (0,) * (spec.m - 2)), spec.m)
+def _t(spec: FieldSpec) -> int:
+    """Code of the generator t of F_{p^m} over F_p."""
+    return spec.encode((0, 1) + (0,) * (spec.m - 2))
 
 
 def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
@@ -298,7 +285,7 @@ def _eliminate_xor(rows, spec: FieldSpec, ncols: int) -> dict:
     mask = (1 << w) - 1
     keep = _repeat((1 << (m - 1)) - 1, size, ncols)
     low = _repeat(1, size, ncols)
-    R = _t_to_the_m(spec)
+    R = spec.pow_(_t(spec), m)  # the code of t^m, the carry of t * x
     basis, packed = {}, {}
     for row in rows:
         r, c = _pack(code, row), 0  # slot 0 of r holds column c
@@ -343,36 +330,35 @@ def _eliminate_digits(rows, spec: FieldSpec, ncols: int) -> dict:
     """`_eliminate` over F_{p^m}, p odd: column j takes slots jm to jm+m-1.
 
     Slot i of a column holds the digit of p^i of its code, which is the
-    coefficient of t^(m-1-i); rows are packed from a table of each code's
-    slots.  As over F_p, a pivot row P is stored reduced and only the
-    leading column is reduced as a row is scanned.  P keeps its m multiples
-    t^e * P, each made from the last by a shift: t * x is
-    ((x >> w) & keep) + (x & low) * R, where `low` picks the low slot of
-    each column, `keep` the others, and R holds the digits of t^m.  Each of
-    its slots is at most p(p-1), and one Barrett step (`_barrett`) reduces
-    them all mod p.  Eliminating column c adds (p - f_i) times the multiple
-    of each nonzero digit f_i of the entry, at most m(p-1)^2 per slot, so a
-    slot stays below ncols*m*(p-1)^2 + p, and `_slot_type` makes w wide
-    enough for that and for the Barrett product: no carry crosses a slot.
-    The jump over zero columns takes the column of the lowest set bit.
+    coefficient of t^(m-1-i); every row is packed from a table of each
+    code's slots.  As over F_p, a pivot row P is stored reduced and only
+    the leading column is reduced as a row is scanned.  P keeps its m
+    multiples t^e * P, each built like P itself: the scaled basis row with
+    e * log t added to every entry's log, packed through the same table.
+    Eliminating column c adds (p - f_i) times the multiple of each nonzero
+    digit f_i of the entry, at most m(p-1)^2 per slot, so a slot stays
+    below ncols*m*(p-1)^2 + p, and `_slot_type` makes w wide enough for
+    that: no carry crosses a slot.  The jump over zero columns takes the
+    column of the lowest set bit.
     """
     p, m, exp, log, q1 = spec.p, spec.m, spec._exp, spec._log, spec.q - 1
     code = _slot_type(ncols, p, m)
     size = array(code).itemsize
     w = 8 * size
-    stride, span = m * w, m * size
+    stride = m * w
     mask, colmask = (1 << w) - 1, (1 << stride) - 1
     shifts = range(0, stride, w)
     powers = [p**i for i in range(m)]
-    k, g = _barrett(p)
     slots = _digit_slots(p, m, size)
-    keep = _repeat((1 << (stride - w)) - 1, span, ncols)
-    low = _repeat(mask, span, ncols)
-    quot = _repeat((1 << (w - k)) - 1, size, m * ncols)  # the low w - k bits of every slot
-    R = int.from_bytes(slots[_t_to_the_m(spec)], "little")
+    logt = log[_t(spec)]
+    tlogs = [(m - 1 - i) * logt % q1 for i in range(m)]  # slot i -> log of t^(m-1-i)
+
+    def pack(entries):
+        return int.from_bytes(b"".join(map(slots.__getitem__, entries)), "little")
+
     basis, packed = {}, {}
     for row in rows:
-        r, c = int.from_bytes(b"".join(map(slots.__getitem__, row)), "little"), 0
+        r, c = pack(row), 0
         while r:
             lead = r & colmask
             if not lead:  # jump over the zero columns to the lowest set bit
@@ -392,13 +378,7 @@ def _eliminate_digits(rows, spec: FieldSpec, ncols: int) -> dict:
                         for i in range(0, len(digits), m)]
                 linv = q1 - log[tail[0]]
                 basis[c] = [exp[log[x] + linv] if x else 0 for x in tail]
-                x = int.from_bytes(b"".join(map(slots.__getitem__, basis[c])), "little")
-                mults = [x]
-                for _ in range(m - 1):
-                    y = ((x >> w) & keep) + (x & low) * R
-                    x = y - ((y * g >> k) & quot) * p
-                    mults.append(x)
-                packed[c] = mults[::-1]  # slot i -> t^(m-1-i) * pivot
+                packed[c] = [pack([exp[log[x] + e] if x else 0 for x in basis[c]]) for e in tlogs]
                 break
             r >>= stride
             c += 1

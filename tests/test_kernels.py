@@ -6,34 +6,41 @@ import pytest
 from ffkakeya import kernels
 
 
-def _oracle(options):
+def _oracle(levels):
     """Every choice, in lex order; the first of least union popcount wins."""
     best = None
-    for idx in itertools.product(*(range(len(level)) for level in options)):
+    for choice in itertools.product(*(level.items() for level in levels)):
         union = 0
-        for level, i in zip(options, idx):
-            union |= level[i]
+        for mask, _ in choice:
+            union |= mask
         if best is None or union.bit_count() < best[0]:
-            best = (union.bit_count(), idx)
+            best = (union.bit_count(), [option for _, option in choice])
     return best
 
 
+def _levels(masks):
+    """Per level, {mask: index of its first occurrence}."""
+    levels = []
+    for level in masks:
+        first = {}
+        for i, mask in enumerate(level):
+            first.setdefault(mask, i)
+        levels.append(first)
+    return levels
+
+
 def test_min_union_known_case():
-    options = [[0b0011, 0b0110], [0b0100, 0b1000]]
-    size, idx = kernels.min_union(options)
+    levels = [{0b0011: "a", 0b0110: "b"}, {0b0100: "c", 0b1000: "d"}]
     # 0b0110 | 0b0100 = 0b0110: two points suffice
-    assert size == 2
-    assert (options[0][idx[0]] | options[1][idx[1]]).bit_count() == 2
-    assert (size, idx) == _oracle(options)
+    assert kernels.min_union(levels) == (2, ["b", "c"])
+    assert kernels.min_union(levels) == _oracle(levels)
 
 
 def test_min_union_lex_least_witness():
-    # two optimal selections; the lex-smaller index tuple must win
-    options = [[0b01, 0b10], [0b01, 0b10]]
-    size, idx = kernels.min_union(options)
-    assert size == 1
-    assert tuple(idx) == (0, 0)
-    assert (size, idx) == _oracle(options)
+    # two optimal selections; the one earlier in each level's order must win
+    levels = [{0b01: 0, 0b10: 1}, {0b01: 0, 0b10: 1}]
+    assert kernels.min_union(levels) == (1, [0, 0])
+    assert kernels.min_union(levels) == _oracle(levels)
 
 
 @pytest.mark.parametrize("width", [1, 5, 20, 64, 65, 100])
@@ -41,8 +48,8 @@ def test_min_union_matches_oracle(width):
     # widths past 64 bits keep masks wider than a machine word covered
     rng = random.Random(width)
     for _ in range(30):
-        options = [
+        levels = _levels([
             [rng.getrandbits(width) | 1 << rng.randrange(width) for _ in range(rng.randint(1, 5))]
             for _ in range(rng.randint(1, 4))
-        ]
-        assert kernels.min_union(options) == _oracle(options)
+        ])
+        assert kernels.min_union(levels) == _oracle(levels)

@@ -11,7 +11,6 @@ from ffkakeya.mpoly import SparsePoly, binom_multi, monomials_upto
 from ffkakeya.multiplicity import VanishCheck, vanishes_with_mult
 from ffkakeya.vanish import (
     VanishProblem,
-    _barrett,
     _eliminate,
     _null_vector,
     _slot_type,
@@ -276,25 +275,20 @@ def test_slot_width_rounds_need_up(p, ncols, bits):
     (2, 2, 1, 8), (2, 8, 10**8, 8), (2, 9, 1, 16), (2, 16, 10**8, 16),  # a code per slot
     (3, 6, 1365, 16), (3, 6, 1366, 32),  # 1365 * 6 * 2^2 + 3 = 2^15 - 5
     (13, 2, 113, 16), (13, 2, 114, 32),  # 113 * 2 * 12^2 + 13 = 2^15 - 211
-    (17, 2, 1, 32),  # the Barrett product 17 * 16 * 482 needs 18 bits
+    (17, 2, 1, 16),
     (251, 2, 17179, 32), (251, 2, 17180, 64),
 ])
 def test_extension_slot_width(p, m, ncols, bits):
     # in characteristic 2 a slot holds a code; for odd p each of a column's m
-    # digit slots needs bit_length(ncols*m*(p-1)^2 + p) + 1 bits and room for
-    # the Barrett product, rounded up to 16, 32 or 64
+    # digit slots needs bit_length(ncols*m*(p-1)^2 + p) + 1 bits, rounded up
+    # to 16, 32 or 64
     assert _slot_bits(ncols, p, m) == bits
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 251])
-def test_barrett_step_divides_every_slot_value(p):
-    k, g = _barrett(p)
-    assert all(y * g >> k == y // p for y in range(p * (p - 1) + 1))
 
 
 @pytest.mark.parametrize("q,ncols,bits", [
     (256, 14, 8), (512, 14, 16), (2**16, 14, 16),
-    (169, 113, 16), (169, 114, 32), (289, 14, 32),
+    (169, 113, 16), (169, 114, 32),
+    (289, 14, 16), (289, 63, 16), (289, 64, 32),  # 63 * 2 * 16^2 + 17 = 2^15 - 495
 ])
 def test_eliminate_extension_slot_widths_match_oracle(q, ncols, bits):
     spec = field_for_q(q)
