@@ -32,13 +32,16 @@ def _load_json(path: str):
         raise FFKakeyaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc, out_path):
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def _seed(args) -> int:
@@ -78,7 +81,7 @@ def _cmd_vanish(args) -> int:
     prob = VanishProblem(S.spec, S.n, S.sorted_points(), args.degree, args.mult)
     poly = find_vanishing_poly(prob)
     if poly is None:
-        print("none")
+        _write("none\n", args.out)
         return 0
     _emit(poly_to_json(poly), args.out)
     return 0

@@ -4,7 +4,12 @@ The linear system has one row per (point, derivative order beta with
 |beta| < M) and one column per monomial of degree <= D, in degree-then-lex
 order.  Entry: C(alpha, beta) * a^(alpha - beta), reduced into the field,
 which is the coefficient of c_alpha in the beta-th Hasse derivative at a.
-Rows are generated lazily, one point at a time, and folded into an
+Rows are generated lazily, one point at a time.  Per order beta, tables
+built once from per-coordinate factors list the entries whose binomial is
+nonzero mod p: the column of alpha, the binomial, and the column of
+gamma = alpha - beta.  A point's row for beta fills those entries from the
+values a^gamma, taken once per point, with no field call per entry: mod p
+over F_p, by exp/log tables over F_{p^m}.  The rows are folded into an
 incremental row-echelon basis that stops reading rows once the rank equals
 the number of columns.  A solution, when one is needed, comes from
 back-substitution through that basis.
@@ -34,6 +39,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard
@@ -91,57 +97,102 @@ def _columns(prob: VanishProblem) -> list:
     return monomials_upto(prob.arity, prob.max_degree)
 
 
+def _order_tables(n: int, D: int, top: int, p: int, cols: list) -> list:
+    """Per order beta with |beta| <= top, in degree-then-lex order, beta and
+    three parallel lists over the gamma with |gamma| <= D - |beta| and
+    C(beta + gamma, beta) nonzero mod p: the column of beta + gamma, that
+    binomial mod p, and the column k of gamma.
+
+    Those gamma are the first size = C(D - |beta| + n, n) columns.  With i
+    the last nonzero coordinate of beta, the column of beta + gamma_k is
+    that of beta - e_i + gamma_k + e_i: the parent order's column for
+    shift[i][k], the column of gamma_k + e_i.  The binomial is the product
+    over i of factor[i][b][k] = C(b + gamma_k[i], b) mod p, b = beta[i].
+    """
+    coords = list(zip(*cols))  # coordinate i of every column
+    low = math.comb(D - 1 + n, n)  # the columns of degree < D
+    col_index = {alpha: j for j, alpha in enumerate(cols)}
+    shift = [[col_index[c[:i] + (c[i] + 1,) + c[i + 1:]] for c in cols[:low]]
+             for i in range(n)]
+    factor = []  # factor[i][b]: over the columns of degree <= D - b, for b >= 1
+    for coord in coords:
+        factor.append([None])
+        for b in range(1, top + 1):
+            binom = [math.comb(g + b, b) % p for g in range(D - b + 1)]
+            factor[-1].append(list(map(binom.__getitem__, coord[:math.comb(D - b + n, n)])))
+    targets = {(0,) * n: range(len(cols))}
+    tables = []
+    for beta in monomials_upto(n, top):
+        size = math.comb(D - sum(beta) + n, n)
+        if any(beta):
+            i = max(i for i, b in enumerate(beta) if b)
+            parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            targets[beta] = list(map(targets[parent].__getitem__, shift[i][:size]))
+            facs = [fac[b] for fac, b in zip(factor, beta) if b]
+            bcs = facs[0][:size]
+            for fac in facs[1:]:
+                bcs = [x * y % p for x, y in zip(bcs, fac)]
+            tables.append((beta, list(compress(targets[beta], bcs)), list(filter(None, bcs)),
+                           list(compress(range(size), bcs))))
+        else:
+            tables.append((beta, targets[beta], [1] * size, range(size)))
+    return tables
+
+
 def _system_rows(prob: VanishProblem, cols: list):
     """Yield ((point, beta), row) point by point, betas in order within a point.
 
     Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  Per
     beta, only alpha = beta + gamma with |gamma| <= D - |beta| can be nonzero:
-    those gamma are a prefix of the degree-then-lex columns.  Each binomial is
-    a product of C(x, y) mod p, x <= D and y <= min(M-1, D), read from one
-    table; the monomial values a^gamma are computed once per point, so each
-    entry costs one field multiplication.  An order |beta| > D has no such
-    alpha: its rows are all zero, yielded after the others without a table.
+    those gamma are a prefix of the degree-then-lex columns.  The tables of
+    `_order_tables` list, per beta, the entries whose binomial is nonzero
+    mod p; a row is the zero row with those entries filled in, each with no
+    field call.  Over F_p an entry is bc * a^gamma mod p, the values a^gamma
+    taken once per point from the powers pow(a_i, e, p).  Over F_{p^m} it
+    is exp[log bc + log a^gamma], read from the exp table padded with q - 1
+    zeros, where 2(q - 1) stands for the log of 0.  An order |beta| > D has
+    no such alpha: its rows are all zero, yielded after the others.
     """
     spec = prob.spec
-    n, D = prob.arity, prob.max_degree
+    p, n, D = spec.p, prob.arity, prob.max_degree
     top = min(prob.mult - 1, D)
     ncols = len(cols)
-    col_index = {alpha: j for j, alpha in enumerate(cols)}
-    binom = [[math.comb(x, y) % spec.p for y in range(top + 1)] for x in range(D + 1)]
-    betas = monomials_upto(n, top)
-    # per beta: (column of alpha, binomial code, column of gamma = alpha - beta)
-    # for the binomials that are nonzero mod p
-    tables = []
-    for beta in betas:
-        tab = []
-        for k, gamma in enumerate(cols[:math.comb(D - sum(beta) + n, n)]):
-            alpha = tuple(map(operator.add, beta, gamma))
-            c = 1
-            for x, y in zip(alpha, beta):
-                c *= binom[x][y]
-            bc = spec.from_int(c)
-            if bc:
-                tab.append((col_index[alpha], bc, k))
-        tables.append(tab)
-    mul, one = spec.mul, spec.one
+    tables = _order_tables(n, D, top, p, cols)
+    coords = list(zip(*cols))
+    exps = range(D + 1)
+    if spec.m > 1:
+        q1 = spec.q - 1
+        log_zero = 2 * q1
+        exp, log = spec._exp + [0] * q1, spec._log
+        log_bc = [None] + [log[spec.from_int(r)] for r in range(1, p)]
+        tables = [(beta, targets, list(map(log_bc.__getitem__, bcs)), ks)
+                  for beta, targets, bcs, ks in tables]
     for pt in prob.points:
-        powers = []
-        for a in pt:
-            pw = [one]
-            for _ in range(prob.max_degree):
-                pw.append(mul(pw[-1], a))
-            powers.append(pw)
-        values = []
-        for gamma in cols:
-            v = one
-            for pw, e in zip(powers, gamma):
-                v = mul(v, pw[e])
-            values.append(v)
-        for beta, tab in zip(betas, tables):
-            row = [0] * ncols
-            for j, bc, k in tab:
-                row[j] = mul(bc, values[k])
-            yield (pt, beta), row
+        if spec.m == 1:
+            values = [1] * ncols
+            for a, coord in zip(pt, coords):
+                powers = [pow(a, e, p) for e in exps]
+                values = [v * powers[e] % p for v, e in zip(values, coord)]
+            for beta, targets, bcs, ks in tables:
+                row = [0] * ncols
+                for j, bc, k in zip(targets, bcs, ks):
+                    row[j] = bc * values[k] % p
+                yield (pt, beta), row
+        else:
+            logs = [0] * ncols  # of a^gamma, summed and then reduced mod q - 1
+            for a, coord in zip(pt, coords):
+                if a:
+                    powers = [log[a] * e % q1 for e in exps]
+                    logs = list(map(operator.add, logs, map(powers.__getitem__, coord)))
+            logs = [x % q1 for x in logs]
+            for a, coord in zip(pt, coords):
+                if not a:  # 0^e = 0 for e > 0
+                    logs = [log_zero if e else x for x, e in zip(logs, coord)]
+            for beta, targets, lbs, ks in tables:
+                row = [0] * ncols
+                for j, lb, k in zip(targets, lbs, ks):
+                    row[j] = exp[lb + logs[k]]
+                yield (pt, beta), row
         for order in range(top + 1, prob.mult):
             for beta in compositions(n, order):
                 yield (pt, beta), [0] * ncols

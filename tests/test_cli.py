@@ -108,6 +108,13 @@ def test_vanish_none(tmp_path, F5, capsys):
     spath.write_text(json.dumps(pts.to_json()))
     assert main(["vanish", "--set", str(spath), "--degree", "2", "--mult", "1"]) == 0
     assert capsys.readouterr().out.strip() == "none"
+    # with --out, `none` goes where the JSON would, replacing a stale file
+    out = tmp_path / "out.json"
+    out.write_text('{"stale": true}\n')
+    assert main(["--out", str(out), "vanish", "--set", str(spath), "--degree", "2",
+                 "--mult", "1"]) == 0
+    assert out.read_text() == "none\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_min_search_exhaustive_q3(tmp_path, F3, capsys):
@@ -262,6 +269,9 @@ def test_selftest_certificates_pinned(seed, digest):
 
 
 @pytest.mark.parametrize("q,count,degree,digest", [
+    # prime fields; at degree 8 over F_7 some binomials C(alpha, beta) vanish mod 7
+    (7, 12, 8, "afb03357505690ebdeba32062a98d76d38a200b6f15ba55e31acd2a5b343e423"),
+    (65521, 16, 10, "cd06cb553556e3d099735d15c745ee5b49eddb7f687594019d89432325521ec7"),
     (4, 5, 5, "030ebe91edb56ed4154f5d95bba3d06e82767c95841da40226f92a86671ac2e3"),
     (8, 8, 6, "99dc6ac4ea8f1c611152b79c5825e0c40ea34d780f88e88701b9fd4fc29f6855"),
     (9, 9, 6, "fdb61e775f6e3e696f78515666bc464aa746b115ffe99d29a709ba642bcb3b7c"),
@@ -270,8 +280,8 @@ def test_selftest_certificates_pinned(seed, digest):
 ])
 def test_vanish_output_pinned(tmp_path, q, count, degree, digest):
     # SHA-256 of the vanish JSON (multiplicity 2): the canonical solution is
-    # fixed by the field arithmetic, so any change in an extension-field
-    # operation shows here
+    # fixed by the field arithmetic, so any change in a field operation or in
+    # an entry of the system shows here
     out = tmp_path / "out.json"
     assert main(["--out", str(out), "vanish", "--set", _random_set_file(tmp_path, q, count),
                  "--degree", str(degree), "--mult", "2"]) == 0

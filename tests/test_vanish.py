@@ -411,15 +411,21 @@ def test_extension_field_path(F9):
 @pytest.mark.parametrize("q,n,D,M", [
     (3, 2, 4, 2), (3, 2, 3, 3), (3, 3, 3, 2), (3, 2, 3, 6),
     (4, 2, 4, 2), (7, 2, 3, 3), (7, 1, 2, 5), (9, 2, 4, 3),
+    (2, 2, 4, 3), (2, 3, 3, 2), (5, 2, 0, 3), (4, 3, 0, 1),
+    (256, 2, 5, 3), (729, 2, 4, 3), (27, 3, 4, 3),
 ])
 def test_system_entries_match_binomial_oracle(q, n, D, M):
     # every entry against C(alpha, beta) * a^(alpha - beta) from binom_multi;
-    # over F_3 with D >= 3 some binomials vanish mod p (Lucas), and the cases
-    # with M > D + 1 have orders beta above every column
+    # over F_2, F_3 and F_27 with D >= p some binomials vanish mod p (Lucas),
+    # D = 0 has only the constant column, the cases with M > D + 1 have
+    # orders beta above every column, and F_256, F_729 and F_27 fill rows
+    # from logs; a point with zero and nonzero coordinates has entries 0^e
     spec = field_for_q(q)
     rng = random.Random(q * 100 + D * 10 + M)
     points = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)}
     points.add((0,) * n)
+    points.add((0,) + tuple(rng.randrange(1, q) for _ in range(n - 1)))
+    points.add(tuple(rng.randrange(1, q) for _ in range(n - 1)) + (0,))
     system = build_system(VanishProblem(spec, n, sorted(points), D, M))
     assert len(system.rows) == len(points) * math.comb(M - 1 + n, n)
     for (pt, beta), row in zip(system.row_index, system.rows):
