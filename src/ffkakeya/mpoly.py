@@ -362,6 +362,37 @@ def compose(P: SparsePoly, h) -> SparsePoly:
     return SparsePoly._raw(spec, out_arity, terms)
 
 
+def translate(P: SparsePoly, c) -> SparsePoly:
+    """P(x + c) for a point c, one coordinate at a time.
+
+    Along each line in x_i (the other exponents fixed) the coefficients
+    are shifted by c_i with Horner's rule repeated (synthetic division),
+    d(d+1)/2 multiply-adds for degree d, where `compose` would expand
+    every (x_i + c_i)^e as a product of polynomials."""
+    spec = P.spec
+    add, mul = spec.add, spec.mul
+    terms = P.terms
+    for i, ci in enumerate(c):
+        if not ci:
+            continue
+        lines = {}  # the other exponents -> coefficients of x_i^0, x_i^1, ...
+        for exp, coeff in terms.items():
+            line = lines.setdefault(exp[:i] + exp[i + 1:], [])
+            line.extend([0] * (exp[i] + 1 - len(line)))
+            line[exp[i]] = coeff
+        terms = {}
+        for rest, f in lines.items():
+            d = len(f) - 1
+            for k in range(d):
+                for j in range(d - 1, k - 1, -1):
+                    if f[j + 1]:
+                        f[j] = add(f[j], mul(ci, f[j + 1]))
+            for e, coeff in enumerate(f):
+                if coeff:
+                    terms[rest[:i] + (e,) + rest[i:]] = coeff
+    return SparsePoly._raw(spec, P.arity, terms)
+
+
 def expand_shift(P: SparsePoly) -> dict:
     """Hasse-derivative table by brute-force expansion of P(x+y).
 

@@ -4,6 +4,8 @@ The linear system has one row per (point, derivative order beta with
 |beta| < M) and one column per monomial of degree <= D, in degree-then-lex
 order.  Entry: C(alpha, beta) * a^(alpha - beta), reduced into the field,
 which is the coefficient of c_alpha in the beta-th Hasse derivative at a.
+`build_system` returns that system as posed; the solvers solve a smaller
+one at the set's lex-least point (`_echelon`).
 Rows are generated lazily, one point at a time.  Per order beta, tables
 built once from per-coordinate factors list the entries whose binomial is
 nonzero mod p: the column of alpha, the binomial, and the column of
@@ -39,12 +41,12 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard
 from .ffield import FieldSpec
-from .mpoly import SparsePoly, compositions, monomials_upto
+from .mpoly import SparsePoly, compositions, monomials_upto, translate
 from .multiplicity import _point_codes, vanishes_with_mult
 
 _SYSTEM_GUARD = 10**8
@@ -97,50 +99,63 @@ def _columns(prob: VanishProblem) -> list:
     return monomials_upto(prob.arity, prob.max_degree)
 
 
-def _order_tables(n: int, D: int, top: int, p: int, cols: list) -> list:
-    """Per order beta with |beta| <= top, in degree-then-lex order, beta and
-    three parallel lists over the gamma with |gamma| <= D - |beta| and
-    C(beta + gamma, beta) nonzero mod p: the column of beta + gamma, that
-    binomial mod p, and the column k of gamma.
+def _below(n: int, d: int) -> int:
+    """The number of monomials in n variables of degree < d."""
+    return math.comb(d - 1 + n, n) if d > 0 else 0
 
-    Those gamma are the first size = C(D - |beta| + n, n) columns.  With i
-    the last nonzero coordinate of beta, the column of beta + gamma_k is
-    that of beta - e_i + gamma_k + e_i: the parent order's column for
-    shift[i][k], the column of gamma_k + e_i.  The binomial is the product
-    over i of factor[i][b][k] = C(b + gamma_k[i], b) mod p, b = beta[i].
+
+def _order_tables(n: int, D: int, top: int, p: int, cols: list, start: int) -> list:
+    """Per order beta with |beta| <= top, in degree-then-lex order, beta and
+    three parallel lists over the gamma with start <= |beta + gamma| <= D
+    and C(beta + gamma, beta) nonzero mod p: the column of beta + gamma
+    counted from the first of degree start, that binomial mod p, and the
+    column k of gamma.
+
+    Those gamma are the columns lo <= k < size, lo of them of degree below
+    start - |beta| and size of degree <= D - |beta|.  With i the last
+    nonzero coordinate of beta, the column of beta + gamma_k is that of
+    beta - e_i + gamma_k + e_i: the parent order's entry for the column of
+    gamma_k + e_i, which is at least the parent's lo.  The binomial is the
+    product over i of factor[i][b][k] = C(b + gamma_k[i], b) mod p,
+    b = beta[i].
     """
     coords = list(zip(*cols))  # coordinate i of every column
-    low = math.comb(D - 1 + n, n)  # the columns of degree < D
     col_index = {alpha: j for j, alpha in enumerate(cols)}
-    shift = [[col_index[c[:i] + (c[i] + 1,) + c[i + 1:]] for c in cols[:low]]
-             for i in range(n)]
+    size = [_below(n, D - d + 1) for d in range(top + 1)]
+    lo = [_below(n, start - d) for d in range(top + 1)]
+    shift = []  # shift[i][d]: the parent's entry of gamma_k + e_i, k in range(lo[d], size[d])
+    for i in range(n):
+        up = [col_index[c[:i] + (c[i] + 1,) + c[i + 1:]] for c in cols[:_below(n, D)]]
+        shift.append([None] + [list(map(operator.sub, up[lo[d]:size[d]], repeat(lo[d - 1])))
+                               for d in range(1, top + 1)])
     factor = []  # factor[i][b]: over the columns of degree <= D - b, for b >= 1
     for coord in coords:
         factor.append([None])
         for b in range(1, top + 1):
             binom = [math.comb(g + b, b) % p for g in range(D - b + 1)]
-            factor[-1].append(list(map(binom.__getitem__, coord[:math.comb(D - b + n, n)])))
-    targets = {(0,) * n: range(len(cols))}
+            factor[-1].append(list(map(binom.__getitem__, coord[:size[b]])))
+    targets = {(0,) * n: range(len(cols) - lo[0])}
     tables = []
     for beta in monomials_upto(n, top):
-        size = math.comb(D - sum(beta) + n, n)
-        if any(beta):
+        d = sum(beta)
+        ks = range(lo[d], size[d])
+        if d:
             i = max(i for i, b in enumerate(beta) if b)
             parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            targets[beta] = list(map(targets[parent].__getitem__, shift[i][:size]))
-            facs = [fac[b] for fac, b in zip(factor, beta) if b]
-            bcs = facs[0][:size]
+            targets[beta] = list(map(targets[parent].__getitem__, shift[i][d]))
+            facs = [fac[b][lo[d]:size[d]] for fac, b in zip(factor, beta) if b]
+            bcs = facs[0]
             for fac in facs[1:]:
                 bcs = [x * y % p for x, y in zip(bcs, fac)]
             tables.append((beta, list(compress(targets[beta], bcs)), list(filter(None, bcs)),
-                           list(compress(range(size), bcs))))
+                           list(compress(ks, bcs))))
         else:
-            tables.append((beta, targets[beta], [1] * size, range(size)))
+            tables.append((beta, targets[beta], [1] * len(ks), ks))
     return tables
 
 
-def _system_rows(prob: VanishProblem, cols: list):
-    """Yield ((point, beta), row) point by point, betas in order within a point.
+def _system_rows(prob: VanishProblem, cols: list, reduced: bool = False):
+    """Yield ((point, beta), row) point by point.
 
     Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  Per
     beta, only alpha = beta + gamma with |gamma| <= D - |beta| can be nonzero:
@@ -150,14 +165,26 @@ def _system_rows(prob: VanishProblem, cols: list):
     field call.  Over F_p an entry is bc * a^gamma mod p, the values a^gamma
     taken once per point from the powers pow(a_i, e, p).  Over F_{p^m} it
     is exp[log bc + log a^gamma], read from the exp table padded with q - 1
-    zeros, where 2(q - 1) stands for the log of 0.  An order |beta| > D has
-    no such alpha: its rows are all zero, yielded after the others.
+    zeros, where 2(q - 1) stands for the log of 0.
+
+    By default these are the rows of the system as posed: betas in
+    degree-then-lex order within a point, and an order |beta| > D, which
+    has no such alpha, as a zero row after the others.  `reduced` yields
+    the system `_echelon` solves instead: each point a after the first, a0,
+    taken as a - a0, over the columns of degree >= M only, with its orders
+    from the highest |beta| down.  `_echelon` asks for it only when
+    M - 1 < D, so it has no zero rows.
     """
     spec = prob.spec
-    p, n, D = spec.p, prob.arity, prob.max_degree
-    top = min(prob.mult - 1, D)
-    ncols = len(cols)
-    tables = _order_tables(n, D, top, p, cols)
+    p, n, D, M = spec.p, prob.arity, prob.max_degree, prob.mult
+    top = min(M - 1, D)
+    start = M if reduced else 0
+    tables = _order_tables(n, D, top, p, cols, start)
+    points = prob.points
+    if reduced:
+        points = [tuple(map(spec.sub, pt, points[0])) for pt in points[1:]]
+        tables.reverse()
+    width = len(cols) - _below(n, start)
     coords = list(zip(*cols))
     exps = range(D + 1)
     if spec.m > 1:
@@ -167,19 +194,19 @@ def _system_rows(prob: VanishProblem, cols: list):
         log_bc = [None] + [log[spec.from_int(r)] for r in range(1, p)]
         tables = [(beta, targets, list(map(log_bc.__getitem__, bcs)), ks)
                   for beta, targets, bcs, ks in tables]
-    for pt in prob.points:
+    for pt in points:
         if spec.m == 1:
-            values = [1] * ncols
+            values = [1] * len(cols)
             for a, coord in zip(pt, coords):
                 powers = [pow(a, e, p) for e in exps]
                 values = [v * powers[e] % p for v, e in zip(values, coord)]
             for beta, targets, bcs, ks in tables:
-                row = [0] * ncols
+                row = [0] * width
                 for j, bc, k in zip(targets, bcs, ks):
                     row[j] = bc * values[k] % p
                 yield (pt, beta), row
         else:
-            logs = [0] * ncols  # of a^gamma, summed and then reduced mod q - 1
+            logs = [0] * len(cols)  # of a^gamma, summed and then reduced mod q - 1
             for a, coord in zip(pt, coords):
                 if a:
                     powers = [log[a] * e % q1 for e in exps]
@@ -189,13 +216,13 @@ def _system_rows(prob: VanishProblem, cols: list):
                 if not a:  # 0^e = 0 for e > 0
                     logs = [log_zero if e else x for x, e in zip(logs, coord)]
             for beta, targets, lbs, ks in tables:
-                row = [0] * ncols
+                row = [0] * width
                 for j, lb, k in zip(targets, lbs, ks):
                     row[j] = exp[lb + logs[k]]
                 yield (pt, beta), row
-        for order in range(top + 1, prob.mult):
+        for order in range(top + 1, M):
             for beta in compositions(n, order):
-                yield (pt, beta), [0] * ncols
+                yield (pt, beta), [0] * width
 
 
 def build_system(prob: VanishProblem) -> LinearSystem:
@@ -459,10 +486,24 @@ def _null_vector(basis: dict, spec: FieldSpec, ncols: int) -> Optional[list]:
 
 
 def _echelon(prob: VanishProblem):
-    """Columns and the echelon basis of the system, read lazily."""
+    """The unknown columns and the echelon basis of the reduced system.
+
+    P vanishes to order M on S iff P(x + a0) does on S - a0, with the same
+    degree.  With a0 the lex-least point of S moved to the origin, its
+    order-beta row is the unit vector of column beta, so its rows only zero
+    the columns of degree < M: those rows and columns are dropped, and the
+    other points' rows are read lazily (`_system_rows`, `reduced`).  The
+    guard still counts the system as posed.  An empty set keeps every
+    column, with no row.
+    """
     cols = _columns(prob)
-    rows = (row for _, row in _system_rows(prob, cols))
-    return cols, _eliminate(rows, prob.spec, len(cols))
+    if not prob.points:
+        return cols, {}
+    drop = _below(prob.arity, prob.mult)
+    if drop >= len(cols):
+        return [], {}
+    rows = (row for _, row in _system_rows(prob, cols, reduced=True))
+    return cols[drop:], _eliminate(rows, prob.spec, len(cols) - drop)
 
 
 def nullspace_trivial(prob: VanishProblem) -> bool:
@@ -474,12 +515,14 @@ def nullspace_trivial(prob: VanishProblem) -> bool:
 def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
     """Canonical nonzero solution, or None when the nullspace is trivial.
 
-    The free variable with the lex-least monomial (in column order) is set
-    to one and all other free variables to zero; pivot variables follow
-    from the echelon rows.  The reduced row echelon form of a row space is
-    unique, so this solution does not depend on row order.  Every returned
-    polynomial is re-verified against the multiplicity module.  An empty
-    set leaves every column free: its answer is the first, the constant 1.
+    Of the nonzero solutions, the one whose last nonzero coefficient in
+    column order comes first, scaled to one there; it does not depend on
+    row order.  It is the reduced system's (`_echelon`) with its first free
+    variable one and the others zero, shifted back to x - a0: that maps
+    x^alpha to x^alpha plus columns of lower degree, so it keeps the last
+    coefficient.  Every returned polynomial is re-verified against the
+    multiplicity module.  An empty set leaves every column free: its
+    answer is the first, the constant 1.
     """
     spec = prob.spec
     if not prob.points:
@@ -493,6 +536,7 @@ def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
         spec, prob.arity,
         {exp: c for exp, c in zip(cols, solution) if c},
     )
+    poly = translate(poly, [spec.neg(a) for a in prob.points[0]])
     if poly.is_zero() or poly.degree > prob.max_degree:
         raise AssertionError("solver returned a zero polynomial or one above degree D")
     if not vanishes_with_mult(poly, prob.points, prob.mult).ok:

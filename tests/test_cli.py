@@ -559,6 +559,17 @@ def test_vanish_empty_set_reaches_system_guard_at_once(tmp_path, capsys):
     assert captured.err == "error: SizeGuard: 0 x 45000450001 system exceeds guard\n"
 
 
+def test_vanish_guard_counts_the_system_as_posed(tmp_path, capsys):
+    # the solver drops a point's rows and the columns of degree < M, which
+    # leaves 7,260 x 121 here; the guard counts the 14,520 x 7,381 as posed
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": {"p": 5, "m": 1}, "n": 2, "points": [[0, 0], [1, 2]]}))
+    assert main(["vanish", "--set", str(path), "--degree", "120", "--mult", "120"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SizeGuard: 14520 x 7381 system exceeds guard\n"
+
+
 BIG_PRIME = 2**61 - 1  # trial division to its square root takes minutes
 
 

@@ -22,6 +22,7 @@ from ffkakeya.mpoly import (
     monomials_upto,
     poly_from_json,
     poly_to_json,
+    translate,
 )
 
 
@@ -313,6 +314,23 @@ class TestCompose:
                 if trial == 0:
                     h[0] = SparsePoly.zero(spec, m)
                 assert compose(P, h) == _compose_reference(P, h), (P, h)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 256, 729, 65521])
+def test_translate_matches_compose(q):
+    # P(x + c) by per-coordinate Taylor shifts against substituting x_i + c_i:
+    # zero and nonzero coordinates of c, dense and sparse P, degree above p
+    spec = field_for_q(q)
+    rng = random.Random(40 + q)
+    for n in (1, 2, 3):
+        for trial in range(10):
+            P = random_poly(rng, spec, n, 7, max_terms=4 if trial % 2 else 30)
+            c = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+            shifted = [SparsePoly.variable(spec, n, i) + SparsePoly.constant(spec, n, ci)
+                       for i, ci in enumerate(c)]
+            got = translate(P, c)
+            assert got.terms == compose(P, shifted).terms, (P, c)
+            assert translate(got, [spec.neg(ci) for ci in c]) == P
 
 
 def _compositions_oracle(n, total):

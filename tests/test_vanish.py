@@ -9,6 +9,7 @@ from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya import vanish
 from ffkakeya.mpoly import SparsePoly, binom_multi, monomials_upto
 from ffkakeya.multiplicity import VanishCheck, vanishes_with_mult
+from ffkakeya.replay import check_warmup
 from ffkakeya.vanish import (
     VanishProblem,
     _eliminate,
@@ -358,6 +359,18 @@ def test_eliminate_slot_reaching_its_top_bit():
     assert sorted(_assert_basis_matches_oracle(rows, spec, 12)) == list(range(10)) + [11]
 
 
+def _assert_solver_matches_oracle(prob):
+    """Both entry points against the RREF of the system as posed."""
+    system = build_system(prob)
+    want = _oracle_solution(system.rows, prob.spec, len(system.cols))
+    P = find_vanishing_poly(prob)
+    assert nullspace_trivial(prob) == (want is None)
+    if want is None:
+        assert P is None
+    else:
+        assert P.terms == {e: c for e, c in zip(system.cols, want) if c}
+
+
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
 def test_find_vanishing_poly_matches_oracle(q):
     spec = field_for_q(q)
@@ -366,15 +379,39 @@ def test_find_vanishing_poly_matches_oracle(q):
         n = rng.randint(1, 3)
         M = rng.randint(1, 2)
         points = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, 5))}
-        prob = VanishProblem(spec, n, sorted(points), rng.randint(0, 4), M)
-        system = build_system(prob)
-        want = _oracle_solution(system.rows, spec, len(system.cols))
-        P = find_vanishing_poly(prob)
-        assert nullspace_trivial(prob) == (want is None)
-        if want is None:
-            assert P is None
-        else:
-            assert P.terms == {e: c for e, c in zip(system.cols, want) if c}
+        _assert_solver_matches_oracle(VanishProblem(spec, n, sorted(points), rng.randint(0, 4), M))
+
+
+def _point_set(rng, q, n, kind):
+    """A set with the origin; one without it whose lex-least point mixes
+    zero and nonzero coordinates; one whose lex-least point has no zero
+    coordinate ("nonzero"); or a single point."""
+    if kind == "single":
+        return [tuple(rng.randrange(q) for _ in range(n))]
+    lowest = 0 if kind == "origin" else 1
+    points = {tuple(rng.randrange(lowest, q) for _ in range(n))
+              for _ in range(rng.randint(1, 5 - n))}
+    if kind == "origin":
+        points.add((0,) * n)
+    elif kind == "no origin":
+        points.discard((0,) * n)
+        points.add((0,) * (n - 1) + (rng.randrange(1, q),))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_reduced_system_matches_oracle(q):
+    # the solver drops the lex-least point's rows and the columns of degree
+    # < M, and shifts its solution back; the oracle solves the system as
+    # posed.  D runs from 0, so that M - 1 >= D leaves no column at all
+    spec = field_for_q(q)
+    rng = random.Random(6000 + q)
+    for n in (1, 2, 3):
+        for M in range(1, 5):
+            for D in range(0, M + 3 - n // 2):
+                for kind in ("origin", "no origin", "nonzero", "single"):
+                    prob = VanishProblem(spec, n, _point_set(rng, q, n, kind), D, M)
+                    _assert_solver_matches_oracle(prob)
 
 
 def test_rows_after_full_rank_are_not_read(F5):
@@ -384,6 +421,40 @@ def test_rows_after_full_rank_are_not_read(F5):
     rows = iter(all_rows)
     assert len(_eliminate(rows, F5, 6)) == 6
     assert list(rows) == all_rows[read:] and read < len(all_rows)
+
+
+@pytest.mark.parametrize("q,k,rows,cols", [(5, 5, 221, 144), (3, 9, 150, 51)])
+def test_warmup_rows_read(monkeypatch, q, k, rows, cols):
+    # the warmup set holds the origin: its rows and the columns of degree
+    # < M are dropped (the system as posed is 328 x 210 and 253 x 171 read),
+    # and each other point's orders are read from the highest |beta| down
+    seen = []
+
+    def counting(rows_in, spec, ncols):
+        read = [0]
+
+        def counted():
+            for row in rows_in:
+                read[0] += 1
+                yield row
+
+        basis = _eliminate(counted(), spec, ncols)
+        seen.append((read[0], ncols))
+        return basis
+
+    monkeypatch.setattr(vanish, "_eliminate", counting)
+    assert check_warmup(q, k).verdict == "pass"
+    assert seen == [(rows, cols)]
+
+
+def test_guard_counts_the_system_as_posed(F5):
+    # 14,520 x 7,381 entries as posed; the reduced system would be only
+    # 7,260 x 121, but no input changes whether it is refused
+    prob = VanishProblem(F5, 2, [(0, 0), (1, 2)], 120, 120)
+    assert prob.constraint_count * prob.unknown_count > 10**8
+    for solve in (nullspace_trivial, find_vanishing_poly):
+        with pytest.raises(SizeGuard, match="14520 x 7381 system exceeds guard"):
+            solve(prob)
 
 
 def test_rref_rows_satisfied_by_solution(F5):
