@@ -262,34 +262,61 @@ def _lower_parts(spec, n, ell):
     ]
 
 
-def _distinct_level_masks(spec, g, points, lowers):
+def _graph_ranks(spec, g, ell):
+    """Per lower part, in `_lower_parts` order, the ranks j*q + v of its
+    graph's points (lam_j, v), v = g(lam_j) + low(lam_j), lam_j the j-th in
+    lex order.
+
+    A lower part is linear in its coefficients, so the values at one lam
+    come from g(lam) and the value w of each monomial of `monomials_upto`:
+    g(lam) is extended by c*w for every c, one monomial (digit) at a time,
+    first coefficient most significant, as `itertools.product` numbers the
+    lower parts.  So each lam costs one evaluation of g and about L field
+    additions, where evaluating every g + low costs L evaluations.  The
+    per-lam columns are then transposed into one graph per lower part.
+    """
+    q, add, mul = spec.q, spec.add, spec.mul
+    tables = [PowerTable(spec, c) for c in range(q)]
+    monos = monomials_upto(g.arity, ell - 1)
+    columns = []
+    for j, lam in enumerate(itertools.product(range(q), repeat=g.arity)):
+        powers = [tables[c] for c in lam]
+        values = [g.eval_powers(powers)]
+        for mono in monos:
+            w = spec.one
+            for table, e in zip(powers, mono):
+                if e:
+                    w = mul(w, table[e])
+            step = [mul(c, w) for c in range(q)]
+            values = [add(v, s) for v in values for s in step]
+        base = j * q
+        columns.append([base + v for v in values])
+    return list(zip(*columns))
+
+
+def _distinct_level_masks(spec, g, points, ell):
     """Per rho, {surface mask: first option index}, in option order.
 
     `points` is F_q^n in lex (rank) order.  Option i is (translation
-    points[i // L], lowers[i % L]) with L = len(lowers).  At rho = 0 the
-    surface is the single point a = points[i], first given by option i * L.
-    For rho != 0 the L options at a = points[0] = 0 already give every
-    distinct surface, and give it first: with c = (a_1, ..., a_{n-1}) / rho,
-    substituting lam -> lam - c turns a + rho*(lam, g(lam) + low(lam)) into
-    a surface at the origin with lower part
-    g(lam - c) - g(lam) + low(lam - c) + a_n / rho, again of degree < ell.
+    points[i // L], lower part i % L of `_lower_parts`), L lower parts in
+    all.  At rho = 0 the surface is the single point a = points[i], first
+    given by option i * L.  For rho != 0 the L options at a = points[0] = 0
+    already give every distinct surface, and give it first: with
+    c = (a_1, ..., a_{n-1}) / rho, substituting lam -> lam - c turns
+    a + rho*(lam, g(lam) + low(lam)) into a surface at the origin with lower
+    part g(lam - c) - g(lam) + low(lam - c) + a_n / rho, again of degree < ell.
 
-    The graph of g + low does not depend on rho, so it is evaluated once
-    per lam, from one power table per field value shared by every lam and
-    lower part, as the ranks j*q + v of its points (lam, v), lam_j the j-th in
-    lex order.  Scaling by rho maps the point of rank r to the point whose
-    coordinates are rho times r's digits; `bits[r]` is that point's bit, so
-    a surface's mask is the sum of its graph's table bits.  The points of
-    one surface are distinct, so the sum is their union.
+    The graph of g + low does not depend on rho, so it is built once, by
+    `_graph_ranks`: per lam, g(lam) once and every lower part's value from
+    a value table extended one coefficient at a time, never a polynomial
+    per lower part.  Scaling by rho maps the point of rank r to the point
+    whose coordinates are rho times r's digits; `bits[r]` is that point's
+    bit, so a surface's mask is the sum of its graph's table bits.  The
+    points of one surface are distinct, so the sum is their union.
     """
     q = spec.q
-    tables = [PowerTable(spec, c) for c in range(q)]
-    lams = [[tables[c] for c in lam] for lam in itertools.product(range(q), repeat=g.arity)]
-    graphs = []
-    for low in lowers:
-        f = g + low
-        graphs.append([j * q + f.eval_powers(lam) for j, lam in enumerate(lams)])
-    levels = [{1 << i: i * len(lowers) for i in range(len(points))}]
+    graphs = _graph_ranks(spec, g, ell)
+    levels = [{1 << i: i * len(graphs) for i in range(len(points))}]
     for rho in range(1, q):
         # one base-q digit (coordinate) per pass
         scaled = [spec.mul(rho, c) for c in range(q)]
@@ -316,11 +343,12 @@ def _greedy(levels, rng):
         acc = 0
         first = [None] * len(levels)
         for rho in order:
-            best_option, best_mask = None, None
+            best_count = math.inf
             for mask, option in levels[rho].items():
                 u = acc | mask
-                if best_mask is None or u.bit_count() < best_mask.bit_count():
-                    best_option, best_mask = option, u
+                count = u.bit_count()
+                if count < best_count:
+                    best_count, best_option, best_mask = count, option, u
             acc = best_mask
             first[rho] = best_option
         if best_size is None or acc.bit_count() < best_size:
@@ -378,7 +406,7 @@ def min_brk_search(
     points = list(itertools.product(range(q), repeat=n))
     lowers = _lower_parts(spec, n, ell)
     options = [(a, lower) for a in points for lower in lowers]
-    levels = _distinct_level_masks(spec, g, points, lowers)
+    levels = _distinct_level_masks(spec, g, points, ell)
     if mode == "exhaustive":
         size, first = kernels.min_union(levels)
     else:

@@ -89,16 +89,16 @@ def _poly_divmod_p(a, b, p):
     db, lb = len(b) - 1, b[-1]
     inv_lb = pow(lb, p - 2, p)
     q = [0] * max(0, len(a) - db)
-    while len(_poly_trim(tuple(a))) - 1 >= db and any(a):
-        a = list(_poly_trim(tuple(a)))
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
         da = len(a) - 1
         if da < db:
-            break
+            return _poly_trim(tuple(q)), tuple(a)
         coef = a[-1] * inv_lb % p
         q[da - db] = coef
         for i in range(db + 1):
             a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-    return _poly_trim(tuple(q)), _poly_trim(tuple(a))
 
 
 def _poly_powmod_p(base, e: int, modulus, p: int):

@@ -379,7 +379,7 @@ class TestSurfaceMasks:
         spec = field_for_q(q)
         g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
         points = list(itertools.product(range(q), repeat=n))
-        fast = brkset._distinct_level_masks(spec, g, points, brkset._lower_parts(spec, n, ell))
+        fast = brkset._distinct_level_masks(spec, g, points, ell)
         oracle = _oracle_level_masks(spec, n, ell, g)
         # same distinct masks, same first option index, same order
         assert [list(level.items()) for level in fast] == [
@@ -392,17 +392,37 @@ class TestSurfaceMasks:
         (9, 2, 3, {(3,): 1}),
     ])
     def test_each_graph_value_is_evaluated_once(self, monkeypatch, q, n, ell, g_terms):
-        # g + low at each lam serves every rho: at most L q^(n-1) evaluations
+        # g once per lam serves every lower part and every rho; no lower
+        # part is evaluated as a polynomial
         spec = field_for_q(q)
         g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
         points = list(itertools.product(range(q), repeat=n))
-        lowers = brkset._lower_parts(spec, n, ell)
         calls = []
         eval_powers = SparsePoly.eval_powers
         monkeypatch.setattr(SparsePoly, "eval_powers",
-                            lambda f, powers: calls.append(powers) or eval_powers(f, powers))
-        brkset._distinct_level_masks(spec, g, points, lowers)
-        assert 0 < len(calls) <= len(lowers) * q ** (n - 1)
+                            lambda f, powers: calls.append(f) or eval_powers(f, powers))
+        brkset._distinct_level_masks(spec, g, points, ell)
+        assert len(calls) == q ** (n - 1)
+        assert all(f is g for f in calls)
+
+    @pytest.mark.parametrize("q,n,ell,g_terms", [
+        (5, 2, 2, {(2,): 1}),
+        (8, 2, 3, {(3,): 1}),
+        (9, 2, 3, {(3,): 1, (2,): 2}),
+        (4, 3, 3, {(3, 0): 1, (1, 2): 3}),
+    ])
+    def test_graph_ranks_match_each_lower_part(self, q, n, ell, g_terms):
+        # the per-lam value tables against g + low evaluated point by point,
+        # at sizes the mask oracle is too slow for
+        spec = field_for_q(q)
+        g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
+        lams = list(itertools.product(range(q), repeat=n - 1))
+        lowers = brkset._lower_parts(spec, n, ell)
+        graphs = brkset._graph_ranks(spec, g, ell)
+        assert len(graphs) == len(lowers)
+        for graph, low in zip(graphs, lowers):
+            f = g + low
+            assert list(graph) == [j * q + f.eval_codes(lam) for j, lam in enumerate(lams)]
 
     def test_distinct_surfaces_are_the_origin_options(self):
         # rho = 0: one point per translation a.  rho != 0: shifting lambda
@@ -411,7 +431,7 @@ class TestSurfaceMasks:
         spec = field_for_q(5)
         g = SparsePoly(spec, 1, {(2,): spec.one})
         points = list(itertools.product(range(5), repeat=2))
-        levels = brkset._distinct_level_masks(spec, g, points, brkset._lower_parts(spec, 2, 2))
+        levels = brkset._distinct_level_masks(spec, g, points, 2)
         assert list(levels[0].values()) == [25 * i for i in range(25)]
         for level in levels[1:]:
             assert list(level.values()) == list(range(25))

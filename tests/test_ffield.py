@@ -192,6 +192,22 @@ def test_bare_integer_element_is_its_image_in_prime_field():
     assert F8.element_from_json(6) == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_poly_divmod_is_division_with_remainder(p):
+    # a = quot * b + rem with deg rem < deg b, all trimmed, over random inputs
+    rng = random.Random(p)
+    for _ in range(500):
+        a = tuple(rng.randrange(p) for _ in range(rng.randrange(12)))
+        b = tuple(rng.randrange(p) for _ in range(rng.randrange(6))) + (rng.randrange(1, p),)
+        quot, rem = _poly_divmod_p(a, b, p)
+        assert _poly_trim(quot) == quot and _poly_trim(rem) == rem
+        assert len(rem) < len(b)
+        prod = _poly_mulmod_p(quot, b, p)
+        width = max(len(prod), len(rem))
+        pad = lambda c: c + (0,) * (width - len(c))
+        assert _poly_trim(tuple((x + y) % p for x, y in zip(pad(prod), pad(rem)))) == _poly_trim(a)
+
+
 # --- the log tables against slow arithmetic on coefficient vectors ---
 
 # the lex-first irreducible moduli: element codes and written documents depend on them
