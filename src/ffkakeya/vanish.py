@@ -4,17 +4,20 @@ The linear system has one row per (point, derivative order beta with
 |beta| < M) and one column per monomial of degree <= D, in degree-then-lex
 order.  Entry: C(alpha, beta) * a^(alpha - beta), reduced into the field,
 which is the coefficient of c_alpha in the beta-th Hasse derivative at a.
-`build_system` returns that system as posed; the solvers solve a smaller
-one at the set's lex-least point (`_echelon`).
-Rows are generated lazily, one point at a time.  Per order beta, tables
-built once from per-coordinate factors list the entries whose binomial is
-nonzero mod p: the column of alpha, the binomial, and the column of
-gamma = alpha - beta.  A point's row for beta fills those entries from the
-values a^gamma, taken once per point, with no field call per entry: mod p
-over F_p, by exp/log tables over F_{p^m}.  The rows are folded into an
-incremental row-echelon basis that stops reading rows once the rank equals
-the number of columns.  A solution, when one is needed, comes from
-back-substitution through that basis.
+`build_system` returns that system as posed, entry by entry; it shares no
+code with the solvers, so it is the slow oracle of their rows.  The
+solvers solve a smaller system at the set's lex-least point a0
+(`_echelon`): each other point a taken as a - a0, over the columns of
+degree >= M only.  Its rows are generated lazily, one point at a time
+(`_system_rows`).  Per order beta, tables built once from per-coordinate
+factors list the entries whose binomial is nonzero mod p: the column of
+alpha, the binomial, and the column of gamma = alpha - beta.  A point's
+row for beta fills those entries from the values a^gamma, taken once per
+point, with no field call per entry: mod p over F_p, by exp/log tables
+over F_{p^m}.  The rows are folded into an incremental row-echelon basis
+that stops reading rows once the rank equals the number of columns.  A
+solution, when one is needed, comes from back-substitution through that
+basis.
 
 Every row is packed into one Python int of fixed-width slots, with no
 big-int operation per column, and reduced only where it must be: only the
@@ -46,7 +49,7 @@ from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard
 from .ffield import FieldSpec
-from .mpoly import SparsePoly, compositions, monomials_upto, translate
+from .mpoly import SparsePoly, binom_multi, monomials_upto, translate
 from .multiplicity import _point_codes, vanishes_with_mult
 
 _SYSTEM_GUARD = 10**8
@@ -104,39 +107,39 @@ def _below(n: int, d: int) -> int:
     return math.comb(d - 1 + n, n) if d > 0 else 0
 
 
-def _order_tables(n: int, D: int, top: int, p: int, cols: list, start: int) -> list:
-    """Per order beta with |beta| <= top, in degree-then-lex order, beta and
-    three parallel lists over the gamma with start <= |beta + gamma| <= D
-    and C(beta + gamma, beta) nonzero mod p: the column of beta + gamma
-    counted from the first of degree start, that binomial mod p, and the
-    column k of gamma.
+def _order_tables(n: int, D: int, M: int, p: int, cols: list) -> list:
+    """Per order beta with |beta| < M, the highest |beta| first, three
+    parallel lists over the gamma with M <= |beta + gamma| <= D and
+    C(beta + gamma, beta) nonzero mod p: the column of beta + gamma counted
+    from the first of degree M, that binomial mod p, and the column k of
+    gamma.  Within a degree the orders run in reverse lex order.
 
     Those gamma are the columns lo <= k < size, lo of them of degree below
-    start - |beta| and size of degree <= D - |beta|.  With i the last
-    nonzero coordinate of beta, the column of beta + gamma_k is that of
+    M - |beta| and size of degree <= D - |beta|.  With i the last nonzero
+    coordinate of beta, the column of beta + gamma_k is that of
     beta - e_i + gamma_k + e_i: the parent order's entry for the column of
     gamma_k + e_i, which is at least the parent's lo.  The binomial is the
     product over i of factor[i][b][k] = C(b + gamma_k[i], b) mod p,
-    b = beta[i].
+    b = beta[i].  `_echelon` asks for them only when M - 1 < D.
     """
     coords = list(zip(*cols))  # coordinate i of every column
     col_index = {alpha: j for j, alpha in enumerate(cols)}
-    size = [_below(n, D - d + 1) for d in range(top + 1)]
-    lo = [_below(n, start - d) for d in range(top + 1)]
+    size = [_below(n, D - d + 1) for d in range(M)]
+    lo = [_below(n, M - d) for d in range(M)]
     shift = []  # shift[i][d]: the parent's entry of gamma_k + e_i, k in range(lo[d], size[d])
     for i in range(n):
         up = [col_index[c[:i] + (c[i] + 1,) + c[i + 1:]] for c in cols[:_below(n, D)]]
         shift.append([None] + [list(map(operator.sub, up[lo[d]:size[d]], repeat(lo[d - 1])))
-                               for d in range(1, top + 1)])
+                               for d in range(1, M)])
     factor = []  # factor[i][b]: over the columns of degree <= D - b, for b >= 1
     for coord in coords:
         factor.append([None])
-        for b in range(1, top + 1):
+        for b in range(1, M):
             binom = [math.comb(g + b, b) % p for g in range(D - b + 1)]
             factor[-1].append(list(map(binom.__getitem__, coord[:size[b]])))
     targets = {(0,) * n: range(len(cols) - lo[0])}
     tables = []
-    for beta in monomials_upto(n, top):
+    for beta in monomials_upto(n, M - 1):
         d = sum(beta)
         ks = range(lo[d], size[d])
         if d:
@@ -147,44 +150,33 @@ def _order_tables(n: int, D: int, top: int, p: int, cols: list, start: int) -> l
             bcs = facs[0]
             for fac in facs[1:]:
                 bcs = [x * y % p for x, y in zip(bcs, fac)]
-            tables.append((beta, list(compress(targets[beta], bcs)), list(filter(None, bcs)),
+            tables.append((list(compress(targets[beta], bcs)), list(filter(None, bcs)),
                            list(compress(ks, bcs))))
         else:
-            tables.append((beta, targets[beta], [1] * len(ks), ks))
+            tables.append((targets[beta], [1] * len(ks), ks))
+    tables.reverse()
     return tables
 
 
-def _system_rows(prob: VanishProblem, cols: list, reduced: bool = False):
-    """Yield ((point, beta), row) point by point.
+def _system_rows(prob: VanishProblem, cols: list):
+    """Yield the rows of the system `_echelon` solves, point by point.
 
-    Entry (alpha, beta) at point a is C(alpha, beta) * a^(alpha - beta).  Per
-    beta, only alpha = beta + gamma with |gamma| <= D - |beta| can be nonzero:
-    those gamma are a prefix of the degree-then-lex columns.  The tables of
-    `_order_tables` list, per beta, the entries whose binomial is nonzero
-    mod p; a row is the zero row with those entries filled in, each with no
-    field call.  Over F_p an entry is bc * a^gamma mod p, the values a^gamma
-    taken once per point from the powers pow(a_i, e, p).  Over F_{p^m} it
-    is exp[log bc + log a^gamma], read from the exp table padded with q - 1
-    zeros, where 2(q - 1) stands for the log of 0.
-
-    By default these are the rows of the system as posed: betas in
-    degree-then-lex order within a point, and an order |beta| > D, which
-    has no such alpha, as a zero row after the others.  `reduced` yields
-    the system `_echelon` solves instead: each point a after the first, a0,
-    taken as a - a0, over the columns of degree >= M only, with its orders
-    from the highest |beta| down.  `_echelon` asks for it only when
-    M - 1 < D, so it has no zero rows.
+    Each point a after the first, a0, is taken as a - a0; its row for order
+    beta has entry C(alpha, beta) * a^(alpha - beta) in the column of each
+    alpha of degree >= M, and its orders run from the highest |beta| down,
+    as `_order_tables` lists them.  Per beta, only alpha = beta + gamma
+    with |gamma| <= D - |beta| can be nonzero; the tables list those whose
+    binomial is nonzero mod p, and a row is the zero row with them filled
+    in, each with no field call.  Over F_p an entry is bc * a^gamma mod p,
+    the values a^gamma taken once per point from the powers pow(a_i, e, p).
+    Over F_{p^m} it is exp[log bc + log a^gamma], read from the exp table
+    padded with q - 1 zeros, where 2(q - 1) stands for the log of 0.
     """
     spec = prob.spec
     p, n, D, M = spec.p, prob.arity, prob.max_degree, prob.mult
-    top = min(M - 1, D)
-    start = M if reduced else 0
-    tables = _order_tables(n, D, top, p, cols, start)
-    points = prob.points
-    if reduced:
-        points = [tuple(map(spec.sub, pt, points[0])) for pt in points[1:]]
-        tables.reverse()
-    width = len(cols) - _below(n, start)
+    tables = _order_tables(n, D, M, p, cols)
+    points = [tuple(map(spec.sub, pt, prob.points[0])) for pt in prob.points[1:]]
+    width = len(cols) - _below(n, M)
     coords = list(zip(*cols))
     exps = range(D + 1)
     if spec.m > 1:
@@ -192,19 +184,19 @@ def _system_rows(prob: VanishProblem, cols: list, reduced: bool = False):
         log_zero = 2 * q1
         exp, log = spec._exp + [0] * q1, spec._log
         log_bc = [None] + [log[spec.from_int(r)] for r in range(1, p)]
-        tables = [(beta, targets, list(map(log_bc.__getitem__, bcs)), ks)
-                  for beta, targets, bcs, ks in tables]
+        tables = [(targets, list(map(log_bc.__getitem__, bcs)), ks)
+                  for targets, bcs, ks in tables]
     for pt in points:
         if spec.m == 1:
             values = [1] * len(cols)
             for a, coord in zip(pt, coords):
                 powers = [pow(a, e, p) for e in exps]
                 values = [v * powers[e] % p for v, e in zip(values, coord)]
-            for beta, targets, bcs, ks in tables:
+            for targets, bcs, ks in tables:
                 row = [0] * width
                 for j, bc, k in zip(targets, bcs, ks):
                     row[j] = bc * values[k] % p
-                yield (pt, beta), row
+                yield row
         else:
             logs = [0] * len(cols)  # of a^gamma, summed and then reduced mod q - 1
             for a, coord in zip(pt, coords):
@@ -215,22 +207,36 @@ def _system_rows(prob: VanishProblem, cols: list, reduced: bool = False):
             for a, coord in zip(pt, coords):
                 if not a:  # 0^e = 0 for e > 0
                     logs = [log_zero if e else x for x, e in zip(logs, coord)]
-            for beta, targets, lbs, ks in tables:
+            for targets, lbs, ks in tables:
                 row = [0] * width
                 for j, lb, k in zip(targets, lbs, ks):
                     row[j] = exp[lb + logs[k]]
-                yield (pt, beta), row
-        for order in range(top + 1, M):
-            for beta in compositions(n, order):
-                yield (pt, beta), [0] * width
+                yield row
 
 
 def build_system(prob: VanishProblem) -> LinearSystem:
+    """The system as posed, computed entry by entry.
+
+    Per point, in the set's order, one row per order beta with |beta| < M
+    in degree-then-lex order; per column alpha of degree <= D the entry
+    from_int(C(alpha, beta)) * prod_i a_i^(alpha_i - beta_i), by
+    `binom_multi` and `pow_`.  An order |beta| > D gives a zero row.  It
+    shares no code with `_order_tables` or `_system_rows`, whose rows it
+    checks, and the solvers never call it.
+    """
+    spec = prob.spec
     cols = _columns(prob)
-    row_index, rows = [], []
-    for index, row in _system_rows(prob, cols):
-        row_index.append(index)
-        rows.append(row)
+
+    def entry(pt, alpha, beta):
+        value = spec.from_int(binom_multi(alpha, beta))
+        if value:  # and so alpha >= beta
+            for a, x, y in zip(pt, alpha, beta):
+                value = spec.mul(value, spec.pow_(a, x - y))
+        return value
+
+    betas = monomials_upto(prob.arity, prob.mult - 1)
+    row_index = [(pt, beta) for pt in prob.points for beta in betas]
+    rows = [[entry(pt, alpha, beta) for alpha in cols] for pt, beta in row_index]
     return LinearSystem(cols, row_index, rows)
 
 
@@ -492,7 +498,7 @@ def _echelon(prob: VanishProblem):
     degree.  With a0 the lex-least point of S moved to the origin, its
     order-beta row is the unit vector of column beta, so its rows only zero
     the columns of degree < M: those rows and columns are dropped, and the
-    other points' rows are read lazily (`_system_rows`, `reduced`).  The
+    other points' rows are read lazily (`_system_rows`).  The
     guard still counts the system as posed.  An empty set keeps every
     column, with no row.
     """
@@ -502,8 +508,7 @@ def _echelon(prob: VanishProblem):
     drop = _below(prob.arity, prob.mult)
     if drop >= len(cols):
         return [], {}
-    rows = (row for _, row in _system_rows(prob, cols, reduced=True))
-    return cols[drop:], _eliminate(rows, prob.spec, len(cols) - drop)
+    return cols[drop:], _eliminate(_system_rows(prob, cols), prob.spec, len(cols) - drop)
 
 
 def nullspace_trivial(prob: VanishProblem) -> bool:

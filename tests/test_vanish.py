@@ -7,7 +7,7 @@ import pytest
 from ffkakeya.errors import ArityMismatch, SizeGuard
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya import vanish
-from ffkakeya.mpoly import SparsePoly, binom_multi, monomials_upto
+from ffkakeya.mpoly import SparsePoly, monomials_upto
 from ffkakeya.multiplicity import VanishCheck, vanishes_with_mult
 from ffkakeya.replay import check_warmup
 from ffkakeya.vanish import (
@@ -423,11 +423,14 @@ def test_rows_after_full_rank_are_not_read(F5):
     assert list(rows) == all_rows[read:] and read < len(all_rows)
 
 
-@pytest.mark.parametrize("q,k,rows,cols", [(5, 5, 221, 144), (3, 9, 150, 51)])
+@pytest.mark.parametrize("q,k,rows,cols", [
+    (5, 5, 221, 144), (3, 9, 150, 51), (4, 4, 72, 42), (8, 8, 2941, 1386),
+])
 def test_warmup_rows_read(monkeypatch, q, k, rows, cols):
     # the warmup set holds the origin: its rows and the columns of degree
-    # < M are dropped (the system as posed is 328 x 210 and 253 x 171 read),
-    # and each other point's orders are read from the highest |beta| down
+    # < M are dropped (the system as posed is 328 x 210 and 253 x 171 read
+    # at (5,5) and (3,9)), and each other point's orders are read from the
+    # highest |beta| down, over F_4 and F_8 as over the prime fields
     seen = []
 
     def counting(rows_in, spec, ncols):
@@ -479,33 +482,72 @@ def test_extension_field_path(F9):
     assert vanishes_with_mult(P, prob.points, 1).ok
 
 
+def _reduced_rows_oracle(prob):
+    """The rows `_echelon` solves, cut from `build_system`: the set moved by
+    -a0 with a0 dropped, the columns of degree >= M, and each point's
+    orders from the highest |beta| down (reverse degree-then-lex)."""
+    spec, n, M = prob.spec, prob.arity, prob.mult
+    moved = [tuple(map(spec.sub, pt, prob.points[0])) for pt in prob.points[1:]]
+    system = build_system(VanishProblem(spec, n, moved, prob.max_degree, M))
+    by_index = dict(zip(system.row_index, system.rows))
+    keep = [j for j, alpha in enumerate(system.cols) if sum(alpha) >= M]
+    return [[by_index[pt, beta][j] for j in keep]
+            for pt in moved for beta in reversed(monomials_upto(n, M - 1))]
+
+
 @pytest.mark.parametrize("q,n,D,M", [
     (3, 2, 4, 2), (3, 2, 3, 3), (3, 3, 3, 2), (3, 2, 3, 6),
     (4, 2, 4, 2), (7, 2, 3, 3), (7, 1, 2, 5), (9, 2, 4, 3),
     (2, 2, 4, 3), (2, 3, 3, 2), (5, 2, 0, 3), (4, 3, 0, 1),
     (256, 2, 5, 3), (729, 2, 4, 3), (27, 3, 4, 3),
+    (27, 2, 6, 2), (5, 2, 5, 1), (7, 1, 6, 3),
 ])
 def test_system_entries_match_binomial_oracle(q, n, D, M):
-    # every entry against C(alpha, beta) * a^(alpha - beta) from binom_multi;
-    # over F_2, F_3 and F_27 with D >= p some binomials vanish mod p (Lucas),
-    # D = 0 has only the constant column, the cases with M > D + 1 have
-    # orders beta above every column, and F_256, F_729 and F_27 fill rows
-    # from logs; a point with zero and nonzero coordinates has entries 0^e
+    # `_system_rows` against the entry-by-entry system of `build_system`;
+    # over F_2, F_3 and F_27 with D >= p some binomials vanish mod p
+    # (Lucas), and F_256, F_729 and F_27 fill rows from logs.  The set
+    # mixes zero and nonzero coordinates, once with the origin and once
+    # without it, so that the lex-least point moved to the origin does
+    # too.  With M - 1 >= D the lex-least point's rows alone have full
+    # rank, so no column is left and no row is built
     spec = field_for_q(q)
     rng = random.Random(q * 100 + D * 10 + M)
-    points = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)}
-    points.add((0,) * n)
-    points.add((0,) + tuple(rng.randrange(1, q) for _ in range(n - 1)))
-    points.add(tuple(rng.randrange(1, q) for _ in range(n - 1)) + (0,))
-    system = build_system(VanishProblem(spec, n, sorted(points), D, M))
-    assert len(system.rows) == len(points) * math.comb(M - 1 + n, n)
-    for (pt, beta), row in zip(system.row_index, system.rows):
-        for alpha, entry in zip(system.cols, row):
-            expected = spec.from_int(binom_multi(alpha, beta))
-            if expected:
-                for a, x, y in zip(pt, alpha, beta):
-                    expected = spec.mul(expected, spec.pow_(a, x - y))
-            assert entry == expected, (pt, beta, alpha)
+    for origin in (True, False):
+        points = {tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)}
+        points.add((0,) + tuple(rng.randrange(1, q) for _ in range(n - 1)))
+        points.add(tuple(rng.randrange(1, q) for _ in range(n - 1)) + (0,))
+        if origin:
+            points.add((0,) * n)
+        else:
+            points.discard((0,) * n)
+        prob = VanishProblem(spec, n, sorted(points), D, M)
+        assert any(prob.points[0]) != origin
+        if M - 1 >= D:
+            a0_rows = VanishProblem(spec, n, prob.points[:1], D, M)
+            assert _oracle_rref(build_system(a0_rows).rows, spec)[0] == math.comb(D + n, n)
+            assert vanish._echelon(prob) == ([], {})
+            continue
+        rows = list(vanish._system_rows(prob, vanish._columns(prob)))
+        assert len(rows) == (len(prob.points) - 1) * math.comb(M - 1 + n, n)
+        assert rows == _reduced_rows_oracle(prob)
+
+
+@pytest.mark.parametrize("q,D,M", [(5, 4, 2), (8, 3, 2), (9, 4, 3), (27, 1, 3)])
+def test_build_system_shares_no_code_with_the_solvers(monkeypatch, q, D, M):
+    # the oracle of `_system_rows` must not be built from it
+    spec = field_for_q(q)
+    prob = VanishProblem(spec, 2, [(0, 1), (1, 0), (2, 3)], D, M)
+    want = build_system(prob)
+
+    def refuse(*args):
+        raise AssertionError("the solvers' row builder was called")
+
+    monkeypatch.setattr(vanish, "_order_tables", refuse)
+    monkeypatch.setattr(vanish, "_system_rows", refuse)
+    if M - 1 < D:
+        with pytest.raises(AssertionError, match="row builder"):
+            nullspace_trivial(prob)
+    assert build_system(prob) == want
 
 
 @pytest.mark.parametrize("n,D,M", [(1, 2, 5), (2, 1, 4), (2, 0, 3), (3, 1, 3)])
