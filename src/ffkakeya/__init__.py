@@ -12,6 +12,7 @@ from .mpoly import (
     compose,
     expand_shift,
     hasse_derivative,
+    hasse_table,
     lex_compare,
     min_lex_exponent,
 )

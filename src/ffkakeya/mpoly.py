@@ -244,8 +244,19 @@ class SparsePoly:
 
         Each term reads its powers from the tables, so polynomials evaluated
         at one point, or at points that share coordinate values, can share
-        the tables and compute each power once."""
-        add, mul = self.spec.add, self.spec.mul
+        the tables and compute each power once.  Over F_p the codes are the
+        residues themselves: the terms are multiplied and summed as plain
+        ints and the sum is reduced mod p once."""
+        spec = self.spec
+        if spec.m == 1:
+            acc = 0
+            for exp, c in self.terms.items():
+                for table, e in zip(powers, exp):
+                    if e:
+                        c *= table[e]
+                acc += c
+            return acc % spec.p
+        add, mul = spec.add, spec.mul
         acc = 0
         for exp, c in self.terms.items():
             for table, e in zip(powers, exp):
@@ -300,11 +311,50 @@ def hasse_derivative(P: SparsePoly, beta) -> SparsePoly:
     return SparsePoly._raw(spec, P.arity, terms)
 
 
+def hasse_table(P: SparsePoly, top=math.inf) -> dict:
+    """{beta: P^(beta)} for every nonzero P^(beta) with |beta| <= top, in
+    one pass over the terms.
+
+    A term c x^alpha adds c * C(alpha, beta) at x^(alpha - beta) to each
+    beta <= alpha in its box with |beta| <= top and C(alpha, beta) nonzero
+    mod p; as in `hasse_derivative`, no two terms meet within one beta.
+    C(x, y) mod p is read from a list per distinct exponent x, made on its
+    first read for y <= min(x, top) only, so a high exponent costs no more
+    than the orders asked for.  Raises `SizeGuard` for an exponent at or
+    above the guard whenever top >= 0, as the walk's order 0 does."""
+    if top < 0:
+        return {}
+    spec = P.spec
+    p, mul, one = spec.p, spec.mul, spec.one
+    residues = {}  # x -> [(y, x - y, C(x, y) mod p)] over y <= min(x, top), nonzero only
+    table = {}
+    for alpha, c in P.terms.items():
+        box = [((), (), 0, 1)]  # (beta, alpha - beta, |beta|, C(alpha, beta) mod p) so far
+        for x in alpha:
+            row = residues.get(x)
+            if row is None:
+                if x >= _EXP_GUARD:
+                    raise SizeGuard(f"exponent {x} exceeds guard {_EXP_GUARD}")
+                row = residues[x] = [
+                    (y, x - y, r) for y in range(min(x, top) + 1) if (r := math.comb(x, y) % p)
+                ]
+            box = [(beta + (y,), rest + (d,), s + y, bc * r % p)
+                   for beta, rest, s, bc in box for y, d, r in row if s + y <= top]
+        for beta, rest, _, bc in box:
+            terms = table.get(beta)
+            if terms is None:
+                terms = table[beta] = {}
+            terms[rest] = mul(c, bc * one)
+    return {beta: SparsePoly._raw(spec, P.arity, terms) for beta, terms in table.items()}
+
+
 def derivatives(P: SparsePoly, top=math.inf):
     """(beta, P^(beta)) for |beta| <= top, degree-then-lex, built lazily.
 
     Orders above deg P give the zero polynomial, so the walk ends at
-    min(top, deg P); it is empty for P = 0."""
+    min(top, deg P); it is empty for P = 0.  A check that reads every
+    nonzero order takes them from `hasse_table` instead; this walk serves
+    the checks that stop at the first nonzero order."""
     top = min(top, P.degree)
     order = 0
     while order <= top:
@@ -399,16 +449,15 @@ def expand_shift(P: SparsePoly) -> dict:
     Substitutes x_i + y_i in 2n variables via generic composition and
     buckets its coefficients by y^beta: each (x, y) exponent appears once in
     the composition, with a nonzero coefficient, so every bucket is a
-    nonzero P^(beta) as it stands.  Independent oracle for
-    `hasse_derivative`: no binomial coefficients are used here.
+    nonzero P^(beta) as it stands.  Independent oracle for `hasse_table`
+    and `hasse_derivative`: no binomial coefficients are used here.
     """
     n = P.arity
     spec = P.spec
-    shifted_vars = []
-    for i in range(n):
-        xi = SparsePoly.variable(spec, 2 * n, i)
-        yi = SparsePoly.variable(spec, 2 * n, n + i)
-        shifted_vars.append(xi + yi)
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    one = spec.one
+    shifted_vars = [SparsePoly._raw(spec, 2 * n, {e + zero: one, zero + e: one}) for e in units]
     table = {}
     for exp, c in compose(P, shifted_vars).terms.items():
         table.setdefault(exp[n:], {})[exp[:n]] = c

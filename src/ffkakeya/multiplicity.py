@@ -1,13 +1,15 @@
 """Vanishing multiplicities and the multiplicity-aware Schwartz-Zippel audit.
 
 mult(P, a) is the largest M such that every Hasse derivative of order
-< M vanishes at a.  Every check here reads one walk over the derivative
-orders (`mpoly.derivatives`: by increasing total degree, lex within a
-level) and takes the first order whose derivative is nonzero at the
-point, so the witness is canonical.  The list walks of
-`vanishes_with_mult` and the audit leave out the derivatives that are
-identically zero: such a derivative is never the first nonzero one, so
-every witness is the same without it.
+< M vanishes at a.  Every check here reads the derivative orders in one
+order, by increasing total degree and lex within a level, and takes the
+first order whose derivative is nonzero at the point, so the witness is
+canonical.  `mult_at` walks the orders lazily (`mpoly.derivatives`), as
+it stops at the first nonzero one.  `vanishes_with_mult` and the audit
+read every order, so they build all the derivatives in one pass over the
+terms (`mpoly.hasse_table`), which holds only those not identically zero:
+such a derivative is never the first nonzero one, so every witness is the
+same without it.
 
 Each walk evaluates all its derivatives at a point through
 `SparsePoly.eval_powers`, from one `mpoly.PowerTable` per coordinate, made
@@ -26,7 +28,7 @@ from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard, ZeroPolynomial
 from .ffield import FieldSpec
-from .mpoly import PowerTable, SparsePoly, derivatives
+from .mpoly import PowerTable, SparsePoly, derivatives, hasse_table
 
 _AUDIT_GUARD = 10**7
 INFINITE = math.inf  # mult(0, a)
@@ -40,6 +42,12 @@ def _point_codes(spec: FieldSpec, point, arity: int):
         if not 0 <= c < spec.q:
             raise ValueError(f"element code {c} out of range for q={spec.q}")
     return codes
+
+
+def _nonzero_derivatives(P: SparsePoly, top=math.inf) -> list:
+    """(beta, P^(beta)) for the nonzero P^(beta) with |beta| <= top, in the
+    walk's degree-then-lex order."""
+    return sorted(hasse_table(P, top).items(), key=lambda item: (sum(item[0]), item[0]))
 
 
 def _first_nonzero(derivs, powers):
@@ -81,7 +89,7 @@ def vanishes_with_mult(P: SparsePoly, A, M: int) -> VanishCheck:
     if M < 0:
         raise ValueError("multiplicity M must be >= 0")
     spec = P.spec
-    derivs = [(beta, D) for beta, D in derivatives(P, M - 1) if D.terms]
+    derivs = _nonzero_derivatives(P, M - 1)
     for point in A:
         codes = _point_codes(spec, point, P.arity)
         powers = [PowerTable(spec, c) for c in codes]
@@ -106,7 +114,7 @@ def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
     codes = [_point_codes(spec, (a,), 1)[0] for a in A]
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
-    derivs = [(beta, D) for beta, D in derivatives(P) if D.terms]
+    derivs = _nonzero_derivatives(P)
     table = {c: PowerTable(spec, c) for c in codes}
     total = sum(
         sum(_first_nonzero(derivs, [table[c] for c in point]))

@@ -17,6 +17,7 @@ from ffkakeya.mpoly import (
     derivatives,
     expand_shift,
     hasse_derivative,
+    hasse_table,
     lex_compare,
     min_lex_exponent,
     monomials_upto,
@@ -213,6 +214,15 @@ class TestHasseDerivative:
             hasse_derivative(P, (0, 1))
         Q = SparsePoly.from_int_terms(F5, 2, {(0, big): 1})
         assert hasse_derivative(Q, (1, 0)).is_zero()
+        # the table holds order 0, which meets the guard on every coordinate,
+        # so it raises for both, with the same message; order -1 reads nothing
+        for R in (P, Q):
+            for top in (0, 1, math.inf):
+                with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+                    hasse_table(R, top)
+            with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+                hasse_derivative(R, (0, 0))
+            assert hasse_table(R, -1) == {}
 
 
 class TestExpandShift:
@@ -228,6 +238,9 @@ class TestExpandShift:
         assert set(table) == {(0,), (2,)}  # (x+y)^2 = x^2 + y^2
 
     def test_oracle_agreement(self, F2, F3, F5, F9, F4, F7):
+        # the expansion against each order's `hasse_derivative` and against
+        # the one-pass `hasse_table`, which holds the walk's nonzero orders;
+        # cut at top < deg P, the table holds the cut walk's nonzero orders
         rng = random.Random(5)
         for spec in (F2, F3, F5, F9, F4, F7, field_for_q(8)):
             for _ in range(30):
@@ -238,6 +251,12 @@ class TestExpandShift:
                 for beta in monomials_upto(n, deg):
                     assert hasse_derivative(P, beta) == \
                         table.get(beta, SparsePoly.zero(spec, n))
+                full = hasse_table(P)
+                assert full == table
+                assert full == {beta: D for beta, D in derivatives(P) if D.terms}
+                for top in range(-1, deg):
+                    assert hasse_table(P, top) == \
+                        {beta: D for beta, D in derivatives(P, top) if D.terms}, (P, top)
 
 
 def _compose_reference(P, h):
@@ -370,6 +389,30 @@ def test_evaluation_matches_substituted_constants(q):
             product = product * P
 
 
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_prime_field_evaluation_matches_field_calls(p):
+    # over F_p the terms are summed as plain ints and reduced once; the
+    # reference reduces after every `pow_`, `mul` and `add`.  Coefficient
+    # p - 1, exponents up to q and the point (p - 1, ...) make the products
+    # and their sum as large as they get
+    spec = field_for_q(p)
+    rng = random.Random(50 + p)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            terms = {tuple(rng.randint(0, p) for _ in range(n)): p - 1
+                     for _ in range(rng.randint(1, 8))}
+            P = SparsePoly(spec, n, {**terms, (p,) * n: p - 1, (0,) * n: p - 1})
+            points = [(p - 1,) * n, (0,) * n, tuple(rng.randrange(p) for _ in range(n))]
+            for point in points:
+                want = 0
+                for exp, c in P.terms.items():
+                    for a, e in zip(point, exp):
+                        c = spec.mul(c, spec.pow_(a, e))
+                    want = spec.add(want, c)
+                assert P.eval_powers([PowerTable(spec, a) for a in point]) == want, (P, point)
+                assert P.eval_codes(point) == want
+
+
 def test_compositions_match_recursive_oracle():
     for n in range(1, 6):
         for total in range(-1, 13):
@@ -395,8 +438,8 @@ def test_compositions_reject_arity_below_one(n):
 
 
 def test_unfiltered_results_hold_no_zero_coefficient(F2, F3, F4, F5, F7, F9):
-    # sums, negations, products and Hasse derivatives skip the constructor's
-    # zero filter; few exponents, so that terms collide and cancel
+    # sums, negations, products, Hasse derivatives and derivative tables skip
+    # the constructor's zero filter; few exponents, so that terms collide and cancel
     rng = random.Random(12)
     for spec in (F2, F3, F4, F5, F7, F9):
         for _ in range(40):
@@ -404,7 +447,8 @@ def test_unfiltered_results_hold_no_zero_coefficient(F2, F3, F4, F5, F7, F9):
             P, Q = random_poly(rng, spec, n, 3), random_poly(rng, spec, n, 3)
             beta = tuple(rng.randint(0, 2) for _ in range(n))
             results = [P + Q, P + (-P), P - Q, -P, P * Q, P * P, Q * (-Q),
-                       hasse_derivative(P, beta), hasse_derivative(P * Q, beta)]
+                       hasse_derivative(P, beta), hasse_derivative(P * Q, beta),
+                       *hasse_table(P * Q).values()]
             for R in results:
                 assert 0 not in R.terms.values()
                 assert R == SparsePoly(spec, n, dict(R.terms))

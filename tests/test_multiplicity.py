@@ -5,9 +5,17 @@ import time
 
 import pytest
 
-from ffkakeya.errors import ZeroPolynomial
+from ffkakeya.errors import SizeGuard, ZeroPolynomial
 from ffkakeya.ffield import field_for_q, make_field
-from ffkakeya.mpoly import SparsePoly, compose, compositions, hasse_derivative, monomials_upto
+from ffkakeya.mpoly import (
+    SparsePoly,
+    compose,
+    compositions,
+    derivatives,
+    hasse_derivative,
+    hasse_table,
+    monomials_upto,
+)
 from ffkakeya.multiplicity import (
     INFINITE,
     VanishCheck,
@@ -134,6 +142,28 @@ def test_walks_compute_only_the_powers_they_read():
     assert all(mult_at(P, point).mult == 0 for point in points)
     assert vanishes_with_mult(P, points[::-1], 1) == VanishCheck(False, (40, 0), (0, 0))
     assert time.perf_counter() - start < 1
+
+
+def test_derivative_table_lists_binomials_only_to_the_order_asked(F7):
+    # C(x, y) mod p is listed for y <= min(x, M - 1): listed up to the
+    # exponent 2^20 - 1 itself, these few checks would take minutes.
+    # x^(2^20 - 1) = -1 at x = 3, 5, 6, where P = (x^(2^20 - 1) + 1) y
+    # vanishes to order 2 on y = 0; its y-derivative is 2 at x = 1
+    big = 2**20 - 1
+    P = SparsePoly(F7, 2, {(big, 1): 1, (0, 1): 1})
+    roots = [(3, 0), (5, 0), (6, 0)]
+    start = time.perf_counter()
+    assert vanishes_with_mult(P, roots, 2).ok
+    assert vanishes_with_mult(P, roots + [(1, 0)], 2) == VanishCheck(False, (1, 0), (0, 1))
+    assert hasse_table(P, 1) == {beta: D for beta, D in derivatives(P, 1) if D.terms}
+    assert time.perf_counter() - start < 1
+    assert _first_failure_oracle(P, roots + [(1, 0)], 2) == ((1, 0), (0, 1))
+    # one more and the exponent meets the guard, as in `hasse_derivative`
+    Q = SparsePoly(F7, 2, {(big + 1, 1): 1, (0, 1): 1})
+    with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+        vanishes_with_mult(Q, roots, 2)
+    with pytest.raises(SizeGuard, match="^exponent 1048576 exceeds guard 1048576$"):
+        hasse_derivative(Q, (0, 1))
 
 
 def test_vanishes_with_mult_matches_oracle_and_stops_at_degree(F5):
