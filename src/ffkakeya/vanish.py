@@ -23,8 +23,12 @@ Every row is packed into one Python int of fixed-width slots, with no
 big-int operation per column, and reduced only where it must be: only the
 leading column is reduced as the row is scanned, and each new pivot row is
 unpacked once, reduced and kept as a list, which is the basis the rest of
-the module reads.  There are three layouts.  Over F_p a slot holds a
-column, w bits with w the first of 16, 32 or 64 that holds
+the module reads.  Rows are packed and unpacked through `struct` in one
+format (`_layout`): little-endian, slot 0 in the low bits, with standard
+sizes, so the layout is the same on every host.
+
+There are three layouts.  Over F_p a slot holds a column, w bits with w
+the first of 16, 32 or 64 that holds
 bit_length(ncols*(p-1)^2 + p) + 1: wide enough that a column can take one
 update from every pivot before it is reduced mod p, so that no carry
 crosses into the next column.  Over F_{2^m} a slot of 8 bits (16 when
@@ -41,8 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Optional
@@ -240,48 +243,44 @@ def build_system(prob: VanishProblem) -> LinearSystem:
     return LinearSystem(cols, row_index, rows)
 
 
+def _layout(code: str, count: int) -> str:
+    """The `struct` format of count slots of type `code`, the one layout of
+    every packed row: little-endian, so slot 0 is the low bits of the int,
+    with the standard sizes B = 1, H = 2, I = 4 and Q = 8 bytes on any host."""
+    return f"<{count}{code}"
+
+
+def _width(code: str) -> int:
+    """Bytes per slot of type `code`."""
+    return struct.calcsize(_layout(code, 1))
+
+
 def _slot_type(ncols: int, p: int, m: int = 1) -> str:
-    """The `array` typecode of the packed slots for ncols columns over F_{p^m}.
+    """The slot type (see `_layout`) of ncols packed columns over F_{p^m}.
 
     In characteristic 2 an extension-field slot holds a code: 8 bits up to
     q = 256, 16 bits above.  Otherwise a slot needs
     need = bit_length(ncols*m*(p-1)^2 + p) + 1 bits (see `_eliminate`),
-    rounded up to the first of 16, 32 or 64 bits; the types are chosen by
-    itemsize, since that of "I" is not fixed.  q <= 2^16 (`ffield.MAX_Q`)
-    and ncols <= 10^8 (the system guard) keep need <= 60.
+    rounded up to the first of H, I and Q, 16, 32 or 64 bits, that holds
+    it.  q <= 2^16 (`ffield.MAX_Q`) and ncols <= 10^8 (the system guard)
+    keep need <= 60.
     """
     if p == 2 and m > 1:
         return "B" if m <= 8 else "H"
     need = (ncols * m * (p - 1) ** 2 + p).bit_length() + 1
     if need > 64:
         raise AssertionError(f"{ncols} columns over F_{p ** m} need {need}-bit slots")
-    return next(t for t in "HIQ" if 8 * array(t).itemsize >= need)
-
-
-_SWAP = sys.byteorder == "big"  # slots are little-endian, `array` items native
+    return next(t for t in "HIQ" if 8 * _width(t) >= need)
 
 
 def _pack(code: str, entries) -> int:
     """One int whose slots, low to high, hold the entries."""
-    if code == "B":  # `bytes` builds one-byte slots three times as fast as `array`
-        return int.from_bytes(bytes(entries), "little")
-    items = array(code, entries)
-    if _SWAP:
-        items.byteswap()
-    return int.from_bytes(items.tobytes(), "little")
+    return int.from_bytes(struct.pack(_layout(code, len(entries)), *entries), "little")
 
 
-def _unpack(code: str, r: int, count: int) -> array:
+def _unpack(code: str, r: int, count: int) -> tuple:
     """The low `count` slots of r, low to high."""
-    items = array(code, r.to_bytes(count * array(code).itemsize, "little"))
-    if _SWAP:
-        items.byteswap()
-    return items
-
-
-def _repeat(value: int, nbytes: int, count: int) -> int:
-    """count copies of an nbytes-wide value, side by side."""
-    return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
+    return struct.unpack(_layout(code, count), r.to_bytes(count * _width(code), "little"))
 
 
 def _t(spec: FieldSpec) -> int:
@@ -297,11 +296,12 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     Rows after the one that completes the rank are never read.
 
     Every layout packs a row into one int of fixed-width slots, low to high,
-    through `bytes` or `array`, whose items have exactly those widths, or
-    through a table of each code's bytes, so neither packing a row nor
-    unpacking a pivot costs a big-int operation per column.  A new pivot
-    row is unpacked once, reduced and scaled, and kept both as the basis
-    list, which the rest of the module reads, and packed for later updates.
+    through `struct` (`_layout`), whose items have exactly those widths, or
+    through a table of each code's bytes in that format, so neither packing
+    a row nor unpacking a pivot costs a big-int operation per column.  A
+    new pivot row is unpacked once, reduced and scaled, and kept both as
+    the basis list, which the rest of the module reads, and packed for
+    later updates.
     Over a prime field slot j (w bits) holds column j; over an extension
     field see `_eliminate_xor` (p = 2) and `_eliminate_digits` (odd p).
 
@@ -320,7 +320,7 @@ def _eliminate(rows, spec: FieldSpec, ncols: int) -> dict:
     basis = {}
     p = spec.p
     code = _slot_type(ncols, p)
-    w = 8 * array(code).itemsize
+    w = 8 * _width(code)
     mask = (1 << w) - 1
     packed = {}
     for row in rows:
@@ -364,11 +364,10 @@ def _eliminate_xor(rows, spec: FieldSpec, ncols: int) -> dict:
     """
     m, exp, log, q1 = spec.m, spec._exp, spec._log, spec.q - 1
     code = _slot_type(ncols, 2, m)
-    size = array(code).itemsize
-    w = 8 * size
+    w = 8 * _width(code)
     mask = (1 << w) - 1
-    keep = _repeat((1 << (m - 1)) - 1, size, ncols)
-    low = _repeat(1, size, ncols)
+    keep = _pack(code, [(1 << (m - 1)) - 1] * ncols)
+    low = _pack(code, [1] * ncols)
     R = spec.pow_(_t(spec), m)  # the code of t^m, the carry of t * x
     basis, packed = {}, {}
     for row in rows:
@@ -400,10 +399,10 @@ def _eliminate_xor(rows, spec: FieldSpec, ncols: int) -> dict:
     return basis
 
 
-def _digit_slots(p: int, m: int, size: int) -> list:
-    """Per code, the little-endian bytes of its m base-p digits, the digit
-    of p^i in slot i of `size` bytes."""
-    digits = [d.to_bytes(size, "little") for d in range(p)]
+def _digit_slots(p: int, m: int, code: str) -> list:
+    """Per code, the packed bytes of its m base-p digits, the digit of p^i
+    in slot i (see `_layout`)."""
+    digits = [struct.pack(_layout(code, 1), d) for d in range(p)]
     table = [b""]
     for _ in range(m):
         table = [t + d for d in digits for t in table]
@@ -427,13 +426,12 @@ def _eliminate_digits(rows, spec: FieldSpec, ncols: int) -> dict:
     """
     p, m, exp, log, q1 = spec.p, spec.m, spec._exp, spec._log, spec.q - 1
     code = _slot_type(ncols, p, m)
-    size = array(code).itemsize
-    w = 8 * size
+    w = 8 * _width(code)
     stride = m * w
     mask, colmask = (1 << w) - 1, (1 << stride) - 1
     shifts = range(0, stride, w)
     powers = [p**i for i in range(m)]
-    slots = _digit_slots(p, m, size)
+    slots = _digit_slots(p, m, code)
     logt = log[_t(spec)]
     tlogs = [(m - 1 - i) * logt % q1 for i in range(m)]  # slot i -> log of t^(m-1-i)
 

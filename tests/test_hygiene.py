@@ -4,7 +4,9 @@ referenced in its own module, every `raise` names an exception the CLI
 reports or an internal invariant, every import is relative or names a
 standard-library module, since the package declares no dependencies, and
 no module has an `assert` statement, since `python -O` strips them: a
-self-check raises AssertionError itself.
+self-check raises AssertionError itself, and no module reads
+`sys.byteorder` or calls `byteswap`, so packed data has one layout on
+every host.
 
 The first four checks skip `__init__.py`, whose imports are the package's
 exports.
@@ -222,3 +224,32 @@ def test_checker_flags_an_assert_statement():
         "    return 'assert x'\n"
     )
     assert _assert_statements(source) == [2, 7]
+
+
+def _host_byte_order(source: str) -> list:
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("byteorder", "byteswap")
+        or isinstance(node, ast.alias) and node.name == "byteorder"
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_host_byte_order(path):
+    assert _host_byte_order(path.read_text()) == []
+
+
+def test_checker_flags_host_byte_order():
+    source = (
+        "import sys\n"
+        "from array import array\n"
+        "SWAP = sys.byteorder == 'big'\n"
+        "def pack(items):\n"
+        "    a = array('H', items)\n"
+        "    a.byteswap()\n"
+        "    return int.from_bytes(a.tobytes(), 'little')\n"
+        "NOTE = 'sys.byteorder'\n"
+        "from sys import byteorder as order\n"
+    )
+    assert _host_byte_order(source) == [3, 6, 9]

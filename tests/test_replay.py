@@ -1,13 +1,23 @@
 import hashlib
 import json
+import math
 import random
 import time
 
 import pytest
 
+from ffkakeya import replay
 from ffkakeya.errors import NonPrime, NotMultipleOfQ, PreconditionFailed
 from ffkakeya.ffield import field_for_q
-from ffkakeya.mpoly import SparsePoly, binom_multi, compositions, monomials_upto
+from ffkakeya.mpoly import (
+    SparsePoly,
+    binom_multi,
+    compose,
+    compositions,
+    hasse_derivative,
+    monomials_upto,
+    poly_to_json,
+)
 from ffkakeya.replay import (
     Certificate,
     KeyLemmaInstance,
@@ -147,6 +157,77 @@ class TestDerivsZero:
         with pytest.raises(PreconditionFailed):
             check_derivs_zero(par, {"a": (0, 0), "rho": 1, "g": g},
                               {"k": 2, "D": 4, "M": 2})
+
+
+    @staticmethod
+    def _surface_factor(spec, a, rho, g):
+        """rho*(x_n - a_n) - g(x' - a'), which vanishes on a + rho*(x, g(x))
+        for g homogeneous of degree 2."""
+        n = len(a)
+        shifted = [SparsePoly.variable(spec, n, i) - SparsePoly.constant(spec, n, c)
+                   for i, c in enumerate(a)]
+        return shifted[-1].scale(rho) - compose(g, shifted[:-1])
+
+    @staticmethod
+    def _reference(P, curve, k, inputs):
+        """The certificate from one `hasse_derivative` call per order."""
+        spec, n = P.spec, P.arity
+        a, rho, g = curve["a"], curve["rho"], curve["g"]
+        xs = [SparsePoly.variable(spec, n - 1, i) for i in range(n - 1)] + [g]
+        subs = [x.scale(rho) + SparsePoly.constant(spec, n - 1, c) for x, c in zip(xs, a)]
+        cert = Certificate("derivs_zero", None, inputs)
+        for beta in monomials_upto(n, k - 1):
+            composed = compose(hasse_derivative(P, beta), subs)
+            cert.steps.append({"beta": list(beta), "composition_zero": composed.is_zero()})
+            if not composed.is_zero():
+                cert.verdict = "fail"
+                cert.witness = {"beta": list(beta), "composition": poly_to_json(composed)}
+                break
+        return cert
+
+    @pytest.mark.parametrize("q,a,rho,g_terms,mult,D,k,extra", [
+        (7, (1, 2), 3, {(2,): 1}, 2, 4, 2, {(0, 0): 1}),
+        (7, (2, 5), 2, {(2,): 1}, 4, 8, 3, {(0, 0): 1}),  # 2(8-w) < 7(4-w) for w < 3
+        (9, (4, 0, 7), 5, {(2, 0): 1, (1, 1): 3}, 2, 5, 2, {(1, 0, 0): 2, (0, 0, 1): 1}),
+        (8, (3, 6), 1, {(2,): 5}, 2, 4, 2, {(0, 0): 7}),
+    ])
+    def test_certificate_matches_per_order_reference(self, q, a, rho, g_terms, mult, D, k, extra):
+        # the one-table certificate against a loop of one derivative per order
+        spec = field_for_q(q)
+        n = len(a)
+        g = SparsePoly(spec, n - 1, g_terms)
+        factor = self._surface_factor(spec, a, rho, g)
+        P = SparsePoly(spec, n, extra)
+        for _ in range(mult):
+            P = P * factor
+        curve = {"a": a, "rho": rho, "g": g}
+        cert = check_derivs_zero(P, curve, {"k": k, "D": D, "M": mult})
+        assert cert.verdict == "pass" and len(cert.steps) == math.comb(k - 1 + n, n)
+        ref = self._reference(P, curve, k, cert.inputs)
+        assert cert.to_json_bytes() == ref.to_json_bytes()
+
+    @pytest.mark.parametrize("q,a,rho,g_terms,mult,extra", [
+        (7, (1, 2), 3, {(2,): 1}, 1, {(1, 0): 1, (0, 1): 4, (0, 0): 2}),
+        (9, (4, 0, 7), 5, {(2, 0): 1, (1, 1): 3}, 2, {(1, 0, 0): 2, (0, 0, 1): 1, (0, 2, 0): 6}),
+        (8, (3, 6), 1, {(2,): 5}, 2, {(1, 0): 7, (0, 1): 3}),
+    ])
+    def test_failing_certificate_matches_per_order_reference(
+            self, monkeypatch, q, a, rho, g_terms, mult, extra):
+        # with the inequality skipped, k = 3 > M lets an order M composition
+        # be nonzero, so the witness carries a derivative's composition
+        monkeypatch.setattr(replay, "_first_failing_w", lambda *args: None)
+        spec = field_for_q(q)
+        n = len(a)
+        g = SparsePoly(spec, n - 1, g_terms)
+        factor = self._surface_factor(spec, a, rho, g)
+        P = SparsePoly(spec, n, extra)
+        for _ in range(mult):
+            P = P * factor
+        curve = {"a": a, "rho": rho, "g": g}
+        cert = check_derivs_zero(P, curve, {"k": 3, "D": P.degree, "M": mult})
+        assert cert.verdict == "fail" and sum(cert.witness["beta"]) == mult
+        ref = self._reference(P, curve, 3, cert.inputs)
+        assert cert.to_json_bytes() == ref.to_json_bytes()
 
 
 class TestProposition:

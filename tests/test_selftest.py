@@ -19,3 +19,21 @@ def test_box_sums_are_the_full_composition_sums(arity):
             full = [sum(binom_multi(alpha, beta) for beta in compositions(arity, w))
                     for w in range(d + 1)]
             assert selftest._box_sums(alpha) == full
+
+
+def test_hasse_oracle_names_the_first_differing_order(monkeypatch):
+    # a table that loses its last order, degree-then-lex, differs there only
+    dropped, full_table = [], selftest.hasse_table
+
+    def lossy(P):
+        table = full_table(P)
+        if table:
+            dropped.append(max(table, key=lambda beta: (sum(beta), beta)))
+            del table[dropped[-1]]
+        return table
+
+    monkeypatch.setattr(selftest, "hasse_table", lossy)
+    cert = selftest.hasse_oracle_check(seed=3)
+    assert cert.verdict == "fail"
+    assert cert.witness["beta"] == list(dropped[-1])
+

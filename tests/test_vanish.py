@@ -1,6 +1,5 @@
 import math
 import random
-from array import array
 
 import pytest
 
@@ -14,7 +13,10 @@ from ffkakeya.vanish import (
     VanishProblem,
     _eliminate,
     _null_vector,
+    _pack,
     _slot_type,
+    _unpack,
+    _width,
     build_system,
     find_vanishing_poly,
     nullspace_trivial,
@@ -258,7 +260,18 @@ def _assert_basis_matches_oracle(rows, spec, ncols):
 
 
 def _slot_bits(ncols, p, m=1):
-    return 8 * array(_slot_type(ncols, p, m)).itemsize
+    return 8 * _width(_slot_type(ncols, p, m))
+
+
+@pytest.mark.parametrize("code,width", [("B", 1), ("H", 2), ("I", 4), ("Q", 8)])
+def test_codec_slots_are_little_endian_and_fixed_width(code, width):
+    # slot 0 is the low bits and slot 1 starts 8 * width bits up, on any host
+    assert _width(code) == width
+    assert _pack(code, [1, 0]) == 1
+    assert _pack(code, [0, 1]) == 1 << (8 * width)
+    top = (1 << (8 * width)) - 1
+    assert _pack(code, [top] * 3) == (1 << (24 * width)) - 1
+    assert _unpack(code, _pack(code, [top] * 3), 3) == (top,) * 3
 
 
 @pytest.mark.parametrize("p,ncols,bits", [
