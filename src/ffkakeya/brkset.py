@@ -252,26 +252,25 @@ def proof_params(q: int, ell: int, k: int) -> ProofParams:
 # --- minimal-set search ---
 
 
-def _lower_parts(spec, n, ell):
-    """Every lower part of degree < ell, coefficients of `monomials_upto`
-    in lex order."""
-    monos = monomials_upto(n - 1, ell - 1)
-    return [
-        SparsePoly(spec, n - 1, dict(zip(monos, coeffs)))
-        for coeffs in itertools.product(range(spec.q), repeat=len(monos))
-    ]
+def _digits(index, q, count):
+    """The `count` base-q digits of index, most significant first: the
+    index-th tuple of `itertools.product(range(q), repeat=count)`."""
+    digits = [0] * count
+    for k in reversed(range(count)):
+        index, digits[k] = divmod(index, q)
+    return tuple(digits)
 
 
 def _graph_ranks(spec, g, ell):
-    """Per lower part, in `_lower_parts` order, the ranks j*q + v of its
-    graph's points (lam_j, v), v = g(lam_j) + low(lam_j), lam_j the j-th in
-    lex order.
+    """Per lower part li, the ranks j*q + v of its graph's points (lam_j, v),
+    v = g(lam_j) + low(lam_j), lam_j the j-th in lex order; low's coefficients
+    on the m monomials of `monomials_upto` are `_digits(li, q, m)`.
 
     A lower part is linear in its coefficients, so the values at one lam
     come from g(lam) and the value w of each monomial of `monomials_upto`:
     g(lam) is extended by c*w for every c, one monomial (digit) at a time,
-    first coefficient most significant, as `itertools.product` numbers the
-    lower parts.  So each lam costs one evaluation of g and about L field
+    first coefficient most significant, as `_digits` numbers the lower
+    parts.  So each lam costs one evaluation of g and about L field
     additions, where evaluating every g + low costs L evaluations.  The
     per-lam columns are then transposed into one graph per lower part.
     """
@@ -294,14 +293,14 @@ def _graph_ranks(spec, g, ell):
     return list(zip(*columns))
 
 
-def _distinct_level_masks(spec, g, points, ell):
+def _distinct_level_masks(spec, g, n, ell):
     """Per rho, {surface mask: first option index}, in option order.
 
-    `points` is F_q^n in lex (rank) order.  Option i is (translation
-    points[i // L], lower part i % L of `_lower_parts`), L lower parts in
-    all.  At rho = 0 the surface is the single point a = points[i], first
-    given by option i * L.  For rho != 0 the L options at a = points[0] = 0
-    already give every distinct surface, and give it first: with
+    With t, li = divmod(i, L), option i is (translation `_digits(t, q, n)`,
+    lower part li of `_graph_ranks`), L lower parts in all.  At rho = 0 the
+    surface is the single point a of rank t, first given by option t * L.
+    For rho != 0 the L options at a = 0 (t = 0) already give every distinct
+    surface, and give it first: with
     c = (a_1, ..., a_{n-1}) / rho, substituting lam -> lam - c turns
     a + rho*(lam, g(lam) + low(lam)) into a surface at the origin with lower
     part g(lam - c) - g(lam) + low(lam - c) + a_n / rho, again of degree < ell.
@@ -316,12 +315,12 @@ def _distinct_level_masks(spec, g, points, ell):
     """
     q = spec.q
     graphs = _graph_ranks(spec, g, ell)
-    levels = [{1 << i: i * len(graphs) for i in range(len(points))}]
+    levels = [{1 << t: t * len(graphs) for t in range(q**n)}]
     for rho in range(1, q):
         # one base-q digit (coordinate) per pass
         scaled = [spec.mul(rho, c) for c in range(q)]
         ranks = [0]
-        for _ in points[0]:
+        for _ in range(n):
             ranks = [r * q + s for r in ranks for s in scaled]
         bits = [1 << r for r in ranks]
         first = {}
@@ -374,8 +373,8 @@ def min_brk_search(
 
     Exhaustive mode is exact (guarded); greedy mode gives an upper bound
     via marginal-new-points selection, the best of _RESTARTS seeded passes.
-    Both search each level's distinct surfaces only; a witness names the
-    first option, in canonical order, that gives its surface.
+    Both search each level's distinct surfaces only; per rho the witness is
+    the first option index that gives its surface, decoded by `_digits`.
     """
     if g.spec.q != q:
         raise MixedFields(f"g is over F_{g.spec.q}, search requested for F_{q}")
@@ -403,15 +402,16 @@ def min_brk_search(
         if e >= _SURFACE_GUARD.bit_length() or (q - 1) * q**e > _SURFACE_GUARD:
             raise SizeGuard(f"{q - 1} x {q}^{e} surface points exceed the greedy guard")
         run = {"seed": seed, "restarts": _RESTARTS}
-    points = list(itertools.product(range(q), repeat=n))
-    lowers = _lower_parts(spec, n, ell)
-    options = [(a, lower) for a in points for lower in lowers]
-    levels = _distinct_level_masks(spec, g, points, ell)
+    levels = _distinct_level_masks(spec, g, n, ell)
     if mode == "exhaustive":
         size, first = kernels.min_union(levels)
     else:
         size, first = _greedy(levels, random.Random(seed))
-    per_rho = {rho: PerRho(*options[i]) for rho, i in enumerate(first)}
+    monos = monomials_upto(n - 1, ell - 1)
+    per_rho = {}
+    for rho, (t, li) in enumerate(divmod(i, q**m) for i in first):
+        low = SparsePoly(spec, n - 1, dict(zip(monos, _digits(li, q, m))))
+        per_rho[rho] = PerRho(_digits(t, q, n), low)
     witness = BrkInstance(spec, n, ell, g, per_rho)
     if size != len(generate_set(witness)):
         raise AssertionError("search size differs from the size of its witness set")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,20 @@ class TestMinSearch:
         res = min_brk_search(5, 2, 2, g, mode="greedy", seed=0)
         assert res.min_size >= res.bound_ceiling == 4
 
+    def test_greedy_keeps_no_per_option_state(self):
+        # q^n L = 83,521 options at q = 17: a list of (translation, lower
+        # part) pairs takes about 5 MiB, the masks and graph tables 0.6 MiB
+        spec = field_for_q(17)
+        g = SparsePoly(spec, 1, {(2,): spec.one})
+        tracemalloc.start()
+        try:
+            res = min_brk_search(17, 2, 2, g, mode="greedy", seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.min_size >= res.bound_ceiling
+        assert peak < 2 * 2**20
+
     def test_exhaustive_guard(self, F5):
         g = SparsePoly(F5, 1, {(2,): F5.one})
         with pytest.raises(SearchSpaceTooLarge):
@@ -282,7 +297,6 @@ class TestMinSearch:
         def fail(*args):
             raise AssertionError("masks built before the inputs were checked")
 
-        monkeypatch.setattr(brkset, "_lower_parts", fail)
         monkeypatch.setattr(brkset, "_distinct_level_masks", fail)
 
     def test_unknown_mode(self, F3, no_masks):
@@ -378,8 +392,7 @@ class TestSurfaceMasks:
     def test_fast_masks_match_oracle(self, q, n, ell, g_terms):
         spec = field_for_q(q)
         g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
-        points = list(itertools.product(range(q), repeat=n))
-        fast = brkset._distinct_level_masks(spec, g, points, ell)
+        fast = brkset._distinct_level_masks(spec, g, n, ell)
         oracle = _oracle_level_masks(spec, n, ell, g)
         # same distinct masks, same first option index, same order
         assert [list(level.items()) for level in fast] == [
@@ -396,12 +409,11 @@ class TestSurfaceMasks:
         # part is evaluated as a polynomial
         spec = field_for_q(q)
         g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
-        points = list(itertools.product(range(q), repeat=n))
         calls = []
         eval_powers = SparsePoly.eval_powers
         monkeypatch.setattr(SparsePoly, "eval_powers",
                             lambda f, powers: calls.append(f) or eval_powers(f, powers))
-        brkset._distinct_level_masks(spec, g, points, ell)
+        brkset._distinct_level_masks(spec, g, n, ell)
         assert len(calls) == q ** (n - 1)
         assert all(f is g for f in calls)
 
@@ -417,12 +429,21 @@ class TestSurfaceMasks:
         spec = field_for_q(q)
         g = SparsePoly.from_int_terms(spec, n - 1, g_terms)
         lams = list(itertools.product(range(q), repeat=n - 1))
-        lowers = brkset._lower_parts(spec, n, ell)
+        monos = monomials_upto(n - 1, ell - 1)
+        coeffs = list(itertools.product(range(q), repeat=len(monos)))
         graphs = brkset._graph_ranks(spec, g, ell)
-        assert len(graphs) == len(lowers)
-        for graph, low in zip(graphs, lowers):
-            f = g + low
+        assert len(graphs) == len(coeffs)
+        for li, (graph, c) in enumerate(zip(graphs, coeffs)):
+            assert brkset._digits(li, q, len(monos)) == c
+            f = g + SparsePoly(spec, n - 1, dict(zip(monos, c)))
             assert list(graph) == [j * q + f.eval_codes(lam) for j, lam in enumerate(lams)]
+
+    @pytest.mark.parametrize("q,count", [(2, 1), (2, 6), (5, 1), (4, 3), (9, 2)])
+    def test_digits_number_as_product(self, q, count):
+        # the option index's decoder: translations (count n) and lower-part
+        # coefficients (count m) both follow itertools.product
+        want = list(itertools.product(range(q), repeat=count))
+        assert [brkset._digits(i, q, count) for i in range(q**count)] == want
 
     def test_distinct_surfaces_are_the_origin_options(self):
         # rho = 0: one point per translation a.  rho != 0: shifting lambda
@@ -430,8 +451,7 @@ class TestSurfaceMasks:
         # with a = 0 already give every distinct surface, in order.
         spec = field_for_q(5)
         g = SparsePoly(spec, 1, {(2,): spec.one})
-        points = list(itertools.product(range(5), repeat=2))
-        levels = brkset._distinct_level_masks(spec, g, points, 2)
+        levels = brkset._distinct_level_masks(spec, g, 2, 2)
         assert list(levels[0].values()) == [25 * i for i in range(25)]
         for level in levels[1:]:
             assert list(level.values()) == list(range(25))
