@@ -228,7 +228,10 @@ def main(argv=None) -> int:
     except FFKakeyaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"error: bad input: missing key {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ first differing coordinate.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import combinations_with_replacement
@@ -382,6 +383,11 @@ def compose(P: SparsePoly, h) -> SparsePoly:
     product's coefficients as they are added into the one output dict; a
     constant term adds c at the zero exponent."""
     h = list(h)
+    return _compose(P, [{1: hi} for hi in h], _substitution_arity(P, h))  # never asks for h^0
+
+
+def _substitution_arity(P: SparsePoly, h: list) -> int:
+    """The common arity of the substituents h, checked against P as `compose` does."""
     if len(h) != P.arity:
         raise ArityMismatch(f"{len(h)} substituents for arity {P.arity}")
     if not h:
@@ -393,8 +399,13 @@ def compose(P: SparsePoly, h) -> SparsePoly:
             raise MixedFields("substituents over a different field")
         if hi.arity != out_arity:
             raise ArityMismatch("substituents with mixed arity")
+    return out_arity
+
+
+def _compose(P: SparsePoly, powers, out_arity: int) -> SparsePoly:
+    """`compose`'s loop, with `powers[i]` the `_power` cache of h_i."""
+    spec = P.spec
     add, mul = spec.add, spec.mul
-    powers = [{1: hi} for hi in h]  # `_power` reaches h^0 only for e = 0
     const = {(0,) * out_arity: spec.one}
     terms = {}
     for exp, c in P.terms.items():
@@ -449,19 +460,29 @@ def expand_shift(P: SparsePoly) -> dict:
     Substitutes x_i + y_i in 2n variables via generic composition and
     buckets its coefficients by y^beta: each (x, y) exponent appears once in
     the composition, with a nonzero coefficient, so every bucket is a
-    nonzero P^(beta) as it stands.  Independent oracle for `hasse_table`
-    and `hasse_derivative`: no binomial coefficients are used here.
+    nonzero P^(beta) as it stands.  The powers (x_i + y_i)^e are built
+    once per (field, n) and kept (`_shift_powers`), so calls share only
+    the powers of identical substituents.  Independent oracle for
+    `hasse_table` and `hasse_derivative`: no binomial coefficients are
+    used here.
     """
-    n = P.arity
-    spec = P.spec
-    zero = (0,) * n
-    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
-    one = spec.one
-    shifted_vars = [SparsePoly._raw(spec, 2 * n, {e + zero: one, zero + e: one}) for e in units]
+    n, spec = P.arity, P.spec
+    powers = _shift_powers(spec, n)
+    composed = _compose(P, powers, _substitution_arity(P, [cache[1] for cache in powers]))
     table = {}
-    for exp, c in compose(P, shifted_vars).terms.items():
+    for exp, c in composed.terms.items():
         table.setdefault(exp[n:], {})[exp[:n]] = c
     return {beta: SparsePoly._raw(spec, n, terms) for beta, terms in table.items()}
+
+
+@functools.cache
+def _shift_powers(spec: FieldSpec, n: int) -> list:
+    """The `_power` cache of each x_i + y_i in 2n variables, kept for the
+    process and grown by every power an expansion reads."""
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    return [{1: SparsePoly._raw(spec, 2 * n, {e + zero: spec.one, zero + e: spec.one})}
+            for e in units]
 
 
 # --- serialization ---

@@ -15,14 +15,18 @@ Each walk evaluates all its derivatives at a point through
 `SparsePoly.eval_powers`, from one `mpoly.PowerTable` per coordinate, made
 once per point: the table of a_i holds a_i^e for each exponent e a
 derivative has read, so a power is computed once per point, not once per
-derivative.  The audit makes one table per value of A, and every point of
-its grid reads its coordinates' tables.
+derivative.  The audit makes one table per value of A.  It evaluates P
+over its whole grid at once, slab by slab, from rows of those tables
+(`_grid_values`: beside the key-lemma table, the second exception to the
+one evaluation loop, with `eval_powers` as its oracle), and walks the
+derivatives, from order 1, only at the zeros of P.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +35,7 @@ from .ffield import FieldSpec
 from .mpoly import PowerTable, SparsePoly, derivatives, hasse_table
 
 _AUDIT_GUARD = 10**7
+_SLAB = 4096  # grid points the audit evaluates at once, at most
 INFINITE = math.inf  # mult(0, a)
 
 
@@ -106,19 +111,51 @@ class SchwartzZippelReport:
     ok: bool
 
 
+def _grid_values(P: SparsePoly, tables):
+    """P at every point of tables^n, in `itertools.product` order, where
+    `tables` are the `PowerTable`s of the values of A.  The trailing t
+    coordinates span a slab of at most `_SLAB` points; for each point of
+    the leading ones, a term's coefficient times its leading powers is
+    multiplied out against the rows of its trailing exponents (row e holds
+    a^e for each value a of A).  Over F_p the terms are summed as plain
+    ints and each point is reduced mod p once, as in `eval_powers`."""
+    spec, n = P.spec, P.arity
+    prime = spec.m == 1
+    mul, add = (operator.mul, operator.add) if prime else (spec.mul, spec.add)
+    t = n
+    while len(tables) ** t > _SLAB:
+        t -= 1
+    rows = {e: [table[e] for table in tables] for exp in P.terms for e in exp[n - t:]}
+    for lead in itertools.product(tables, repeat=n - t):
+        acc = [0] * len(tables) ** t
+        for exp, c in P.terms.items():
+            for table, e in zip(lead, exp):
+                if e:
+                    c = mul(c, table[e])
+            values = [c]
+            for e in exp[n - t:]:
+                values = [mul(v, w) for v in values for w in rows[e]]
+            acc = list(map(add, acc, values))
+        yield from map(operator.mod, acc, itertools.repeat(spec.p)) if prime else acc
+
+
 def schwartz_zippel_audit(P: SparsePoly, A) -> SchwartzZippelReport:
-    """Sum of mult(P, a) over a in A^n against the bound deg(P) * |A|^(n-1)."""
+    """Sum of mult(P, a) over a in A^n against the bound deg(P) * |A|^(n-1).
+
+    P is evaluated over the whole grid at once (`_grid_values`), and the
+    derivatives are walked, from order 1, only at the zeros of P."""
     if P.is_zero():
         raise ZeroPolynomial("audit bound undefined for the zero polynomial")
     spec = P.spec
     codes = [_point_codes(spec, (a,), 1)[0] for a in A]
     if len(codes) ** P.arity > _AUDIT_GUARD:
         raise SizeGuard(f"|A|^n = {len(codes)}^{P.arity} exceeds audit guard")
-    derivs = _nonzero_derivatives(P)
+    higher = _nonzero_derivatives(P)[1:]  # order 0 is P, zero where it is walked
     table = {c: PowerTable(spec, c) for c in codes}
-    total = sum(
-        sum(_first_nonzero(derivs, [table[c] for c in point]))
-        for point in itertools.product(codes, repeat=P.arity)
+    tables = [table[c] for c in codes]
+    zeros = itertools.compress(
+        itertools.product(tables, repeat=P.arity), map(operator.not_, _grid_values(P, tables))
     )
+    total = sum(sum(_first_nonzero(higher, powers)) for powers in zeros)
     bound = P.degree * len(codes) ** (P.arity - 1)
     return SchwartzZippelReport(total, bound, total <= bound)

@@ -328,6 +328,32 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, square_instance_file,
     assert captured.err == message
 
 
+def test_missing_json_key_is_named(tmp_path, capsys, square_instance_file):
+    # a point-set file where an instance is expected has no per_rho key
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(generate_set(square_instance_file[1]).to_json()))
+    assert main(["build-set", "--instance", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad input: missing key 'per_rho'\n"
+
+
+_SUBCOMMANDS = ["bound", "build-set", "verify-set", "vanish", "min-search", "replay", "selftest"]
+
+
+@pytest.mark.parametrize("command", [None] + _SUBCOMMANDS)
+def test_help_exits_0_with_usage(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command is None:
+        assert captured.out.startswith("usage: ffkakeya [")
+        assert "{" + ",".join(_SUBCOMMANDS) + "}" in captured.out
+    else:
+        assert captured.out.startswith(f"usage: ffkakeya {command} [")
+
+
 @pytest.mark.parametrize("params,message", [
     ({"q": "3", "k": 3}, "error: bad input: q must be an integer, got str\n"),
     ({"q": 3, "k": [3]}, "error: bad input: k must be an integer, got list\n"),

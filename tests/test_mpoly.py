@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ffkakeya import mpoly
 from ffkakeya.errors import ArityMismatch, SizeGuard, ZeroPolynomial
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import (
@@ -257,6 +258,28 @@ class TestExpandShift:
                 for top in range(-1, deg):
                     assert hasse_table(P, top) == \
                         {beta: D for beta, D in derivatives(P, top) if D.terms}, (P, top)
+
+    def test_shared_powers_read_no_binomial(self, monkeypatch, F2, F5, F9, F4):
+        # the same tables from a cold and from a warm cache of the powers
+        # (x_i + y_i)^e, with every binomial and derivative routine made to
+        # raise, so the oracle stays independent of `hasse_table`
+        rng = random.Random(29)
+        polys = [random_poly(rng, spec, rng.randint(1, 3), 6)
+                 for spec in (F2, F5, F9, F4, field_for_q(8)) for _ in range(20)]
+        want = [hasse_table(P) for P in polys]
+
+        def refuse(*args):
+            raise AssertionError("the shift oracle read a binomial or a derivative")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        for name in ("binom_multi", "hasse_table", "hasse_derivative"):
+            monkeypatch.setattr(mpoly, name, refuse)
+        for P, table in zip(polys, want):
+            mpoly._shift_powers.cache_clear()
+            assert expand_shift(P) == table
+        for P in polys:  # warm the powers of every (field, n) first
+            expand_shift(P)
+        assert [expand_shift(P) for P in polys] == want
 
 
 def _compose_reference(P, h):

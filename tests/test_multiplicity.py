@@ -2,12 +2,15 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from ffkakeya import multiplicity
 from ffkakeya.errors import SizeGuard, ZeroPolynomial
 from ffkakeya.ffield import field_for_q, make_field
 from ffkakeya.mpoly import (
+    PowerTable,
     SparsePoly,
     compose,
     compositions,
@@ -17,8 +20,10 @@ from ffkakeya.mpoly import (
     monomials_upto,
 )
 from ffkakeya.multiplicity import (
+    _SLAB,
     INFINITE,
     VanishCheck,
+    _grid_values,
     mult_at,
     schwartz_zippel_audit,
     vanishes_with_mult,
@@ -219,6 +224,69 @@ def test_audit_random_never_exceeds():
             if P.is_zero():
                 continue
             assert schwartz_zippel_audit(P, range(q)).ok
+
+
+# smallest arity whose grid over all of F_q exceeds one slab of the audit
+_SLAB_SPLIT_ARITY = {2: 13, 4: 7, 5: 6, 8: 5, 9: 4}
+
+
+@pytest.mark.parametrize("q", sorted(_SLAB_SPLIT_ARITY))
+def test_grid_values_match_eval_powers(q):
+    # the whole-grid pass against `eval_powers` at every point, for A with
+    # duplicates, A without 0, and a grid cut into several slabs; the audit
+    # against the per-point walk, with every derivative evaluated anew
+    spec = field_for_q(q)
+    rng = random.Random(q + 40)
+    cases = [(rng.randint(1, 3), [1, q - 1, 0, 1, q - 1]), (rng.randint(1, 3), range(1, q)),
+             (rng.randint(1, 3), range(q)), (_SLAB_SPLIT_ARITY[q], range(q))]
+    for n, A in cases:
+        # x_1 x_n spans the leading and the trailing coordinates of a slab
+        ends = SparsePoly.variable(spec, n, 0) * SparsePoly.variable(spec, n, n - 1)
+        P = random_poly(rng, spec, n, 3, max_terms=4) + ends
+        table = {c: PowerTable(spec, c) for c in A}
+        tables = [table[c] for c in A]
+        assert list(_grid_values(P, tables)) == \
+            [P.eval_powers(powers) for powers in itertools.product(tables, repeat=n)]
+        if n <= 3:
+            rep = schwartz_zippel_audit(P, A)
+            want = sum(_mult_oracle(P, point)[0] for point in itertools.product(A, repeat=n))
+            assert (rep.total_mult, rep.bound, rep.ok) == \
+                (want, P.degree * len(A) ** (n - 1), want <= rep.bound)
+    assert q ** _SLAB_SPLIT_ARITY[q] > _SLAB >= q ** (_SLAB_SPLIT_ARITY[q] - 1)
+
+
+def test_audit_walks_derivatives_once_per_zero(monkeypatch, F5):
+    walks, first_nonzero = [], multiplicity._first_nonzero
+
+    def counted(derivs, powers):
+        walks.append(tuple(table.c for table in powers))
+        return first_nonzero(derivs, powers)
+
+    monkeypatch.setattr(multiplicity, "_first_nonzero", counted)
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        P = random_poly(rng, F5, n, 4)
+        if P.is_zero():
+            continue
+        walks.clear()
+        schwartz_zippel_audit(P, range(5))
+        zeros = [a for a in itertools.product(range(5), repeat=n) if not P.eval_codes(a)]
+        assert walks == zeros
+
+
+def test_audit_memory_is_bounded_by_a_slab(F2):
+    # 2^16 points, evaluated 4,096 at a time: a whole-grid list would hold
+    # each of them at once
+    P = SparsePoly(F2, 16, {(1,) + (0,) * 14 + (1,): 1, (0, 0, 0, 1) + (0,) * 12: 1})
+    tracemalloc.start()
+    try:
+        rep = schwartz_zippel_audit(P, range(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.total_mult, rep.bound) == (2**15, 2**16)
+    assert peak < 0.5 * 2**20
 
 
 def test_derivative_mult_lower_bound():

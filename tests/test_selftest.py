@@ -37,3 +37,19 @@ def test_hasse_oracle_names_the_first_differing_order(monkeypatch):
     assert cert.verdict == "fail"
     assert cert.witness["beta"] == list(dropped[-1])
 
+
+def test_hasse_oracle_fails_on_an_order_above_the_degree(monkeypatch):
+    # an order beyond every |beta| <= deg P is still compared and named: the
+    # witness search reads the orders of both tables, so it returns `fail`
+    # rather than raising StopIteration
+    full_table = selftest.hasse_table
+
+    def padded(P):
+        table = full_table(P)
+        table[(99,) * P.arity] = P
+        return table
+
+    monkeypatch.setattr(selftest, "hasse_table", padded)
+    cert = selftest.hasse_oracle_check(seed=3)
+    assert cert.verdict == "fail"
+    assert cert.witness["beta"] == [99] * len(cert.witness["terms"][0][0])
