@@ -17,7 +17,10 @@ point, with no field call per entry: mod p over F_p, by exp/log tables
 over F_{p^m}.  The rows are folded into an incremental row-echelon basis
 that stops reading rows once the rank equals the number of columns.  A
 solution, when one is needed, comes from back-substitution through that
-basis.
+basis.  When diagonal scalings fix the moved set, as they fix the paper's
+unions of dilates rho * (lambda, g(lambda)) about the origin, the system
+splits into one block per character of the group they form
+(`_stabilizer`), each eliminated alone from rows at one point per orbit.
 
 Every row is packed into one Python int of fixed-width slots, with no
 big-int operation per column, and reduced only where it must be: only the
@@ -47,11 +50,11 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, filterfalse, repeat
 from typing import Optional
 
 from .errors import ArityMismatch, SizeGuard
-from .ffield import FieldSpec
+from .ffield import FieldSpec, _prime_factors
 from .mpoly import SparsePoly, binom_multi, monomials_upto, translate
 from .multiplicity import _point_codes, vanishes_with_mult
 
@@ -161,8 +164,86 @@ def _order_tables(n: int, D: int, M: int, p: int, cols: list) -> list:
     return tables
 
 
+def _scaling(spec: FieldSpec, n: int, axis: Optional[int], h: int):
+    """The map that multiplies coordinate `axis` of a point in F_q^n by h,
+    or every coordinate when axis is None."""
+    factors = [h if axis in (None, i) else spec.one for i in range(n)]
+    return lambda pt: tuple(map(spec.mul, factors, pt))
+
+
+def _stabilizer(spec: FieldSpec, points: list) -> list:
+    """Generators (axis, e, h) of a group of diagonal scalings that fix the
+    set, the dilation first, each `_scaling(spec, n, axis, h)` of order
+    e > 1; [] is the trivial group.  h = g^((q-1)/e) for g primitive, with e
+    the largest divisor of q - 1 for which h fixes the set: per prime r of
+    q - 1, e takes r while the scaling of order e*r fixes it, each test
+    stopping at the first point that leaves the set.  That scaling moves
+    the points that are nonzero (on its axis) in orbits of e*r points, so
+    no test is needed unless e*r divides their number."""
+    q1, n = spec.q - 1, len(points[0])
+    primes = _prime_factors(q1)
+    g = spec._exp[1] if spec.m > 1 else next(
+        c for c in range(1, spec.p) if all(pow(c, q1 // r, spec.p) != 1 for r in primes))
+    members = set(points)
+    gens = []
+    for axis in [None, *range(n)] if n > 1 else [None]:
+        moved = sum(map(any, points)) if axis is None else sum(1 for pt in points if pt[axis])
+        e = 1
+        for r in primes:
+            while q1 % (e * r) == 0 and moved % (e * r) == 0 and members.issuperset(
+                    map(_scaling(spec, n, axis, spec.pow_(g, q1 // (e * r))), points)):
+                e *= r
+        if e > 1:
+            gens.append((axis, e, spec.pow_(g, q1 // e)))
+    return gens
+
+
+def _orbit_reps(spec: FieldSpec, points: list, gens: list) -> list:
+    """The first point of each orbit of the group `gens` generate."""
+    seen, reps = set(), []
+    for pt in points:
+        if pt not in seen:
+            reps.append(pt)
+            orbit = {pt}
+            for axis, e, h in gens:
+                scale = _scaling(spec, len(pt), axis, h)
+                for _ in range(e - 1):
+                    orbit |= set(map(scale, orbit))
+            seen |= orbit
+    return reps
+
+
+def _blocks(cols: list, tables: list, gens: list) -> list:
+    """Split the columns, and each order's table, by the character of the
+    group `gens` generate: a scaling (axis, e, h) takes x^alpha to h^d
+    x^alpha, d = |alpha| or alpha_axis, so alpha's block is keyed by d mod e.
+    Per block, its columns' indices into cols and its tables, renumbered
+    within it; an order with no entry in a block is left out of it."""
+    keys = list(zip(*[[(sum(a) if axis is None else a[axis]) % e for a in cols]
+                      for axis, e, _ in gens]))
+    index = {key: b for b, key in enumerate(dict.fromkeys(keys))}
+    members, where = [[] for _ in index], []  # where: per column, (block, position)
+    for j, key in enumerate(keys):
+        where.append((index[key], len(members[index[key]])))
+        members[index[key]].append(j)
+    split = [[] for _ in members]
+    for targets, bcs, ks in tables:
+        parts = [([], [], []) for _ in members]
+        for j, bc, k in zip(targets, bcs, ks):
+            b, pos = where[j]
+            part = parts[b]
+            part[0].append(pos)
+            part[1].append(bc)
+            part[2].append(k)
+        for block_tables, part in zip(split, parts):
+            if part[0]:
+                block_tables.append(part)
+    return list(zip(members, split))
+
+
 def _system_rows(prob: VanishProblem, cols: list):
-    """Yield the rows of the system `_echelon` solves, point by point.
+    """Yield the blocks of the system `_echelon` solves, each as its columns
+    (indices into those of degree >= M) and a lazy stream of its rows.
 
     Each point a after the first, a0, is taken as a - a0; its row for order
     beta has entry C(alpha, beta) * a^(alpha - beta) in the column of each
@@ -174,12 +255,14 @@ def _system_rows(prob: VanishProblem, cols: list):
     the values a^gamma taken once per point from the powers pow(a_i, e, p).
     Over F_{p^m} it is exp[log bc + log a^gamma], read from the exp table
     padded with q - 1 zeros, where 2(q - 1) stands for the log of 0.
+
+    A block (`_blocks`) is read at one point per orbit of the group that
+    fixes the moved points (`_stabilizer`); with none, one block has them all.
     """
     spec = prob.spec
     p, n, D, M = spec.p, prob.arity, prob.max_degree, prob.mult
-    tables = _order_tables(n, D, M, p, cols)
     points = [tuple(map(spec.sub, pt, prob.points[0])) for pt in prob.points[1:]]
-    width = len(cols) - _below(n, M)
+    tables = _order_tables(n, D, M, p, cols) if points else []  # one point: no row
     coords = list(zip(*cols))
     exps = range(D + 1)
     if spec.m > 1:
@@ -189,32 +272,48 @@ def _system_rows(prob: VanishProblem, cols: list):
         log_bc = [None] + [log[spec.from_int(r)] for r in range(1, p)]
         tables = [(targets, list(map(log_bc.__getitem__, bcs)), ks)
                   for targets, bcs, ks in tables]
-    for pt in points:
-        if spec.m == 1:
-            values = [1] * len(cols)
-            for a, coord in zip(pt, coords):
-                powers = [pow(a, e, p) for e in exps]
-                values = [v * powers[e] % p for v, e in zip(values, coord)]
-            for targets, bcs, ks in tables:
+
+    def point_values(pts):
+        for pt in pts:
+            if spec.m == 1:
+                values = [1] * len(cols)
+                for a, coord in zip(pt, coords):
+                    powers = [pow(a, e, p) for e in exps]
+                    values = [v * powers[e] % p for v, e in zip(values, coord)]
+                yield values
+            else:
+                logs = [0] * len(cols)  # of a^gamma, summed and then reduced mod q - 1
+                for a, coord in zip(pt, coords):
+                    if a:
+                        powers = [log[a] * e % q1 for e in exps]
+                        logs = list(map(operator.add, logs, map(powers.__getitem__, coord)))
+                logs = [x % q1 for x in logs]
+                for a, coord in zip(pt, coords):
+                    if not a:  # 0^e = 0 for e > 0
+                        logs = [log_zero if e else x for x, e in zip(logs, coord)]
+                yield logs
+
+    def rows(reps, block_tables, width):
+        for values in reps:
+            for targets, bcs, ks in block_tables:
                 row = [0] * width
-                for j, bc, k in zip(targets, bcs, ks):
-                    row[j] = bc * values[k] % p
+                if spec.m == 1:
+                    for j, bc, k in zip(targets, bcs, ks):
+                        row[j] = bc * values[k] % p
+                else:
+                    for j, lb, k in zip(targets, bcs, ks):
+                        row[j] = exp[lb + values[k]]
                 yield row
-        else:
-            logs = [0] * len(cols)  # of a^gamma, summed and then reduced mod q - 1
-            for a, coord in zip(pt, coords):
-                if a:
-                    powers = [log[a] * e % q1 for e in exps]
-                    logs = list(map(operator.add, logs, map(powers.__getitem__, coord)))
-            logs = [x % q1 for x in logs]
-            for a, coord in zip(pt, coords):
-                if not a:  # 0^e = 0 for e > 0
-                    logs = [log_zero if e else x for x, e in zip(logs, coord)]
-            for targets, lbs, ks in tables:
-                row = [0] * width
-                for j, lb, k in zip(targets, lbs, ks):
-                    row[j] = exp[lb + logs[k]]
-                yield row
+
+    gens = _stabilizer(spec, points) if points else []
+    if gens:
+        blocks = _blocks(cols[_below(n, M):], tables, gens)
+        reps = list(point_values(_orbit_reps(spec, points, gens)))
+    else:
+        blocks = [(range(len(cols) - _below(n, M)), tables)]
+        reps = point_values(points)
+    for block, block_tables in blocks:
+        yield block, rows(reps, block_tables, len(block))
 
 
 def build_system(prob: VanishProblem) -> LinearSystem:
@@ -472,17 +571,19 @@ def _eliminate_digits(rows, spec: FieldSpec, ncols: int) -> dict:
 def _null_vector(basis: dict, spec: FieldSpec, ncols: int) -> Optional[list]:
     """The solution with the first free variable one and the others zero.
 
-    None when every column is a pivot.  Pivot variables follow by
-    back-substitution from the last pivot to the first.
+    None when every column is a pivot.  The pivot variables before the
+    free one follow by back-substitution from the last to the first, each
+    from its row up to the free column; those after it are zero, as every
+    later column is.
     """
-    free = next((j for j in range(ncols) if j not in basis), None)
+    free = next(filterfalse(basis.__contains__, range(ncols)), None)
     if free is None:
         return None
     solution = [0] * ncols
     solution[free] = spec.one
-    for c in sorted(basis, reverse=True):
+    for c in sorted(filter(free.__gt__, basis), reverse=True):
         acc = 0
-        for k, v in enumerate(basis[c]):
+        for k, v in enumerate(basis[c][:free + 1 - c]):
             if v and solution[c + k]:  # solution[c] itself is still zero
                 acc = spec.add(acc, spec.mul(v, solution[c + k]))
         solution[c] = spec.neg(acc)
@@ -490,7 +591,8 @@ def _null_vector(basis: dict, spec: FieldSpec, ncols: int) -> Optional[list]:
 
 
 def _echelon(prob: VanishProblem):
-    """The unknown columns and the echelon basis of the reduced system.
+    """The unknown columns, and the echelon basis of each block of the
+    reduced system as lazily read (block, basis) pairs.
 
     P vanishes to order M on S iff P(x + a0) does on S - a0, with the same
     degree.  With a0 the lex-least point of S moved to the origin, its
@@ -498,21 +600,28 @@ def _echelon(prob: VanishProblem):
     the columns of degree < M: those rows and columns are dropped, and the
     other points' rows are read lazily (`_system_rows`).  The
     guard still counts the system as posed.  An empty set keeps every
-    column, with no row.
+    column, in one block with no row.
+
+    The split is exact: G (`_stabilizer`) has order dividing (q-1)^n, prime
+    to p, so the solutions are the direct sum of their parts in the blocks,
+    and for P in the block of character chi, P^(beta)(h a) =
+    chi(h) h^(-beta) P^(beta)(a): one point's rows stand for its orbit's.
     """
     cols = _columns(prob)
     if not prob.points:
-        return cols, {}
+        return cols, [(range(len(cols)), {})]
     drop = _below(prob.arity, prob.mult)
     if drop >= len(cols):
-        return [], {}
-    return cols[drop:], _eliminate(_system_rows(prob, cols), prob.spec, len(cols) - drop)
+        return [], []
+    return cols[drop:], ((block, _eliminate(rows, prob.spec, len(block)))
+                         for block, rows in _system_rows(prob, cols))
 
 
 def nullspace_trivial(prob: VanishProblem) -> bool:
-    """True iff only the zero polynomial solves the system (full column rank)."""
-    cols, basis = _echelon(prob)
-    return len(basis) == len(cols)
+    """True iff only the zero polynomial solves the system: every block has
+    full column rank (read up to the first that has not)."""
+    _, blocks = _echelon(prob)
+    return all(len(basis) == len(block) for block, basis in blocks)
 
 
 def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
@@ -520,24 +629,29 @@ def find_vanishing_poly(prob: VanishProblem) -> Optional[SparsePoly]:
 
     Of the nonzero solutions, the one whose last nonzero coefficient in
     column order comes first, scaled to one there; it does not depend on
-    row order.  It is the reduced system's (`_echelon`) with its first free
-    variable one and the others zero, shifted back to x - a0: that maps
-    x^alpha to x^alpha plus columns of lower degree, so it keeps the last
-    coefficient.  Every returned polynomial is re-verified against the
-    multiplicity module.  An empty set leaves every column free: its
-    answer is the first, the constant 1.
+    row order.  Its part in the block (`_echelon`) holding the least first
+    free column is a solution with the same last coefficient, so it is that
+    block's solution with its first free variable one and the others zero,
+    shifted back to x - a0: that maps x^alpha to x^alpha plus columns of
+    lower degree, so it keeps the last coefficient.  Every returned
+    polynomial is re-verified against the multiplicity module on all of S.
+    An empty set leaves every column free: its answer is the first, the
+    constant 1.
     """
     spec = prob.spec
     if not prob.points:
         _check_size(prob)
         return SparsePoly.one(spec, prob.arity)
-    cols, basis = _echelon(prob)
-    solution = _null_vector(basis, spec, len(cols))
-    if solution is None:
+    cols, blocks = _echelon(prob)
+    found = [(block[next(filterfalse(basis.__contains__, range(len(block))))], block, basis)
+             for block, basis in blocks if len(basis) < len(block)]
+    if not found:
         return None
+    _, block, basis = min(found, key=operator.itemgetter(0))
+    solution = _null_vector(basis, spec, len(block))
     poly = SparsePoly(
         spec, prob.arity,
-        {exp: c for exp, c in zip(cols, solution) if c},
+        {cols[j]: c for j, c in zip(block, solution) if c},
     )
     poly = translate(poly, [spec.neg(a) for a in prob.points[0]])
     if poly.is_zero() or poly.degree > prob.max_degree:

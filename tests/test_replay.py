@@ -284,6 +284,8 @@ class TestWarmup:
         # extension fields: F_4 and F_8 run the characteristic-2 layout
         (4, 4, "6466567abf715d4405a39551e4b0a147f5f54ac67da2a694f84702ee3f8d25c8"),
         (8, 8, "5aed3fa1d55c86cf0105970bccb851e96e231ad5b23dc2dd3d48023f06eb9412"),
+        # F_9 runs the digit layout; unsplit, (9,9) took about 40 s
+        (9, 9, "e78bffca33011b1cccfe0319496e8402037b9ca3751878015a97ff78e3f87c2b"),
     ])
     def test_certificate_bytes_pinned(self, q, k, digest):
         # SHA-256 of the canonical certificate bytes; any change to the

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -436,14 +437,8 @@ def test_rows_after_full_rank_are_not_read(F5):
     assert list(rows) == all_rows[read:] and read < len(all_rows)
 
 
-@pytest.mark.parametrize("q,k,rows,cols", [
-    (5, 5, 221, 144), (3, 9, 150, 51), (4, 4, 72, 42), (8, 8, 2941, 1386),
-])
-def test_warmup_rows_read(monkeypatch, q, k, rows, cols):
-    # the warmup set holds the origin: its rows and the columns of degree
-    # < M are dropped (the system as posed is 328 x 210 and 253 x 171 read
-    # at (5,5) and (3,9)), and each other point's orders are read from the
-    # highest |beta| down, over F_4 and F_8 as over the prime fields
+def _warmup_rows_read(monkeypatch, q, k):
+    """(rows read, columns) per `_eliminate` call of the warmup at (q, k)."""
     seen = []
 
     def counting(rows_in, spec, ncols):
@@ -460,7 +455,139 @@ def test_warmup_rows_read(monkeypatch, q, k, rows, cols):
 
     monkeypatch.setattr(vanish, "_eliminate", counting)
     assert check_warmup(q, k).verdict == "pass"
-    assert seen == [(rows, cols)]
+    return seen
+
+
+@pytest.mark.parametrize("q,k,rows,cols", [
+    (5, 5, 221, 144), (3, 9, 150, 51), (4, 4, 72, 42), (8, 8, 2941, 1386),
+])
+def test_warmup_rows_read(monkeypatch, q, k, rows, cols):
+    # the warmup set holds the origin: its rows and the columns of degree
+    # < M are dropped (the system as posed is 328 x 210 and 253 x 171 read
+    # at (5,5) and (3,9)), and each other point's orders are read from the
+    # highest |beta| down, over F_4 and F_8 as over the prime fields.  With
+    # the trivial group this is one block, read at every point
+    monkeypatch.setattr(vanish, "_stabilizer", lambda spec, points: [])
+    assert _warmup_rows_read(monkeypatch, q, k) == [(rows, cols)]
+
+
+@pytest.mark.parametrize("q,k,blocks,rows,widest,cols", [
+    (5, 5, 16, 374, 12, 144), (3, 9, 4, 105, 17, 51),
+    (4, 4, 9, 187, 7, 42), (8, 8, 49, 7394, 33, 1386),
+])
+def test_warmup_rows_read_per_block(monkeypatch, q, k, blocks, rows, widest, cols):
+    # the warmup set is fixed by every diagonal scaling, so the system
+    # splits into (q-1)^2 blocks (4 at q = 3, where no column has degree
+    # 1), each read at one point: more rows than unsplit, but short ones
+    seen = _warmup_rows_read(monkeypatch, q, k)
+    assert (len(seen), sum(r for r, _ in seen), max(c for _, c in seen)) == (blocks, rows, widest)
+    assert sum(c for _, c in seen) == cols
+
+
+def _dilates(spec, n, g):
+    """The union of the dilates rho * (lam, g(lam)), lam in F_q^(n-1): the
+    warmup set (n = 2, g = lam^2) and its n = 3 analogues."""
+    return sorted({tuple(spec.mul(r, c) for c in lam + (g(*lam),))
+                   for r in range(spec.q) for lam in product(range(spec.q), repeat=n - 1)})
+
+
+def _forms(spec):
+    """The top forms the split is checked on, by name."""
+    square = lambda x: spec.mul(x, x)  # noqa: E731
+    return {"x^2": lambda x: square(x),
+            "x^2+y^2": lambda x, y: spec.add(square(x), square(y)),
+            "xy": lambda x, y: spec.mul(x, y)}
+
+
+def _unsplit(monkeypatch, solve, prob):
+    with monkeypatch.context() as m:
+        m.setattr(vanish, "_stabilizer", lambda spec, points: [])
+        return solve(prob)
+
+
+def _assert_split_matches_unsplit(monkeypatch, prob):
+    assert nullspace_trivial(prob) == _unsplit(monkeypatch, nullspace_trivial, prob)
+    P, want = find_vanishing_poly(prob), _unsplit(monkeypatch, find_vanishing_poly, prob)
+    assert (P and P.terms) == (want and want.terms)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_split_matches_unsplit_on_warmup_sets(monkeypatch, q):
+    # the warmup set is fixed by the full torus with one orbit: each block
+    # reads one point.  The answers must be those of the unsplit system, at
+    # every D and M, through the prime, XOR (F_4, F_8) and digit (F_9) paths
+    spec = field_for_q(q)
+    points = _dilates(spec, 2, _forms(spec)["x^2"])
+    for D in range(0, 2 * q + 1):
+        for M in range(1, 4):
+            _assert_split_matches_unsplit(monkeypatch, VanishProblem(spec, 2, points, D, M))
+
+
+@pytest.mark.parametrize("q,form", [
+    (3, "x^2+y^2"), (4, "x^2+y^2"), (5, "x^2+y^2"), (3, "xy"), (4, "xy"), (5, "xy"),
+])
+def test_split_matches_unsplit_on_n3_sets(monkeypatch, q, form):
+    # over F_4 the set of x^2+y^2 = (x+y)^2 is fixed only by the dilation
+    # and by scaling the last coordinate; over F_5 its first two
+    # coordinates take only +-1
+    spec = field_for_q(q)
+    points = _dilates(spec, 3, _forms(spec)[form])
+    for D in range(0, q + 3):
+        for M in range(1, 3):
+            _assert_split_matches_unsplit(monkeypatch, VanishProblem(spec, 3, points, D, M))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_a_set_moved_off_its_centre_is_not_split(monkeypatch, q):
+    # the warmup set moved by (1, 2): its lex-least point is not the centre
+    # of the scalings, so the set moved to it is fixed by none
+    spec = field_for_q(q)
+    points = sorted({(spec.add(x, 1), spec.add(y, 2))
+                     for x, y in _dilates(spec, 2, _forms(spec)["x^2"])})
+    moved = [tuple(map(spec.sub, pt, points[0])) for pt in points]
+    assert vanish._stabilizer(spec, moved) == []
+    for D in range(q - 1, q + 2):
+        _assert_split_matches_unsplit(monkeypatch, VanishProblem(spec, 2, points, D, 2))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_warmup_sets_are_fixed_by_the_full_torus(q):
+    spec = field_for_q(q)
+    points = _dilates(spec, 2, _forms(spec)["x^2"])
+    gens = vanish._stabilizer(spec, points)
+    assert [(axis, e) for axis, e, _ in gens] == [(None, q - 1), (0, q - 1), (1, q - 1)]
+    for _, e, h in gens:  # h generates the scalings of its kind that fix the set
+        assert [spec.pow_(h, i) == spec.one for i in range(1, e + 1)] == [False] * (e - 1) + [True]
+    assert vanish._orbit_reps(spec, points[1:], gens) == points[1:2]
+
+
+@pytest.mark.parametrize("q,form,orders", [
+    (3, "x^2+y^2", [2, 2, 2, 2]), (3, "xy", [2, 2, 2, 2]),
+    (4, "x^2+y^2", [3, 1, 1, 3]), (4, "xy", [3, 3, 3, 3]),
+    (5, "x^2+y^2", [4, 2, 2, 4]), (5, "xy", [4, 4, 4, 4]),
+])
+def test_n3_set_stabilizers(q, form, orders):
+    # orders: of the dilation, then of each coordinate's scalings; the
+    # generators of order 1 are left out
+    spec = field_for_q(q)
+    gens = vanish._stabilizer(spec, _dilates(spec, 3, _forms(spec)[form]))
+    axes = [None, 0, 1, 2]
+    assert [(axis, e) for axis, e, _ in gens] == [(axis, e) for axis, e in zip(axes, orders) if e > 1]
+
+
+@pytest.mark.parametrize("q,count", [(256, 16), (729, 11)])
+def test_random_sets_are_fixed_by_no_scaling(q, count):
+    # sets drawn as the benchmark draws its random sets: the group is
+    # trivial, so they are solved in one block, as before the split
+    spec = field_for_q(q)
+    for seed in range(5):
+        rng = random.Random(seed)
+        points = set()
+        while len(points) < count:
+            points.add((rng.randrange(q), rng.randrange(q)))
+        points = sorted(points)
+        moved = [tuple(map(spec.sub, pt, points[0])) for pt in points]
+        assert vanish._stabilizer(spec, moved) == []
 
 
 def test_guard_counts_the_system_as_posed(F5):
@@ -515,8 +642,9 @@ def _reduced_rows_oracle(prob):
     (256, 2, 5, 3), (729, 2, 4, 3), (27, 3, 4, 3),
     (27, 2, 6, 2), (5, 2, 5, 1), (7, 1, 6, 3),
 ])
-def test_system_entries_match_binomial_oracle(q, n, D, M):
-    # `_system_rows` against the entry-by-entry system of `build_system`;
+def test_system_entries_match_binomial_oracle(monkeypatch, q, n, D, M):
+    # `_system_rows` against the entry-by-entry system of `build_system`,
+    # unsplit (the trivial group: one block of every column and point);
     # over F_2, F_3 and F_27 with D >= p some binomials vanish mod p
     # (Lucas), and F_256, F_729 and F_27 fill rows from logs.  The set
     # mixes zero and nonzero coordinates, once with the origin and once
@@ -538,11 +666,30 @@ def test_system_entries_match_binomial_oracle(q, n, D, M):
         if M - 1 >= D:
             a0_rows = VanishProblem(spec, n, prob.points[:1], D, M)
             assert _oracle_rref(build_system(a0_rows).rows, spec)[0] == math.comb(D + n, n)
-            assert vanish._echelon(prob) == ([], {})
+            assert vanish._echelon(prob) == ([], [])
             continue
-        rows = list(vanish._system_rows(prob, vanish._columns(prob)))
+        monkeypatch.setattr(vanish, "_stabilizer", lambda spec, points: [])
+        [(_, rows)] = vanish._system_rows(prob, vanish._columns(prob))
+        rows = list(rows)
         assert len(rows) == (len(prob.points) - 1) * math.comb(M - 1 + n, n)
         assert rows == _reduced_rows_oracle(prob)
+
+
+@pytest.mark.parametrize("q,D,M", [(3, 5, 2), (4, 6, 3), (5, 6, 2), (7, 8, 3), (9, 7, 2)])
+def test_block_rows_match_binomial_oracle(q, D, M):
+    # each block's rows are the oracle's rows at the orbit representatives
+    # cut to the block's columns, but for zero rows: an order with no
+    # entry in a block is left out of it
+    spec = field_for_q(q)
+    prob = VanishProblem(spec, 2, _dilates(spec, 2, _forms(spec)["x^2"]), D, M)
+    oracle, orders = _reduced_rows_oracle(prob), math.comb(M + 1, 2)
+    gens = vanish._stabilizer(spec, prob.points[1:])
+    reps = [prob.points.index(pt) - 1 for pt in vanish._orbit_reps(spec, prob.points[1:], gens)]
+    blocks = list(vanish._system_rows(prob, vanish._columns(prob)))
+    assert len(blocks) > 1 and sorted(j for block, _ in blocks for j in block) == list(range(len(oracle[0])))
+    for block, rows in blocks:
+        want = [[row[j] for j in block] for i in reps for row in oracle[i * orders:(i + 1) * orders]]
+        assert [row for row in rows if any(row)] == [row for row in want if any(row)]
 
 
 @pytest.mark.parametrize("q,D,M", [(5, 4, 2), (8, 3, 2), (9, 4, 3), (27, 1, 3)])
