@@ -199,17 +199,21 @@ def _stabilizer(spec: FieldSpec, points: list) -> list:
 
 
 def _orbit_reps(spec: FieldSpec, points: list, gens: list) -> list:
-    """The first point of each orbit of the group `gens` generate."""
+    """The first point of each orbit of the group `gens` generate; each
+    orbit is closed point by point, so each point is scaled once per
+    generator."""
+    scales = [_scaling(spec, len(points[0]), axis, h) for axis, _, h in gens]
     seen, reps = set(), []
     for pt in points:
         if pt not in seen:
             reps.append(pt)
-            orbit = {pt}
-            for axis, e, h in gens:
-                scale = _scaling(spec, len(pt), axis, h)
-                for _ in range(e - 1):
-                    orbit |= set(map(scale, orbit))
-            seen |= orbit
+            seen.add(pt)
+            todo = [pt]
+            while todo:
+                x = todo.pop()
+                found = {scale(x) for scale in scales} - seen
+                seen |= found
+                todo.extend(found)
     return reps
 
 

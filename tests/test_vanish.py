@@ -561,6 +561,24 @@ def test_warmup_sets_are_fixed_by_the_full_torus(q):
     assert vanish._orbit_reps(spec, points[1:], gens) == points[1:2]
 
 
+def test_orbits_are_closed_once_per_point(monkeypatch):
+    # the line x = y over F_257 is one orbit of 256 points under the
+    # dilations; closing it scales each point once, two products each
+    spec = field_for_q(257)
+    line = [(c, c) for c in range(1, 257)]
+    gens = vanish._stabilizer(spec, line)
+    assert [(axis, e) for axis, e, _ in gens] == [(None, 256)]
+    calls, mul = [0], type(spec).mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(spec), "mul", counted)
+    assert vanish._orbit_reps(spec, line, gens) == line[:1]
+    assert calls[0] == 2 * 256
+
+
 @pytest.mark.parametrize("q,form,orders", [
     (3, "x^2+y^2", [2, 2, 2, 2]), (3, "xy", [2, 2, 2, 2]),
     (4, "x^2+y^2", [3, 1, 1, 3]), (4, "xy", [3, 3, 3, 3]),
