@@ -297,8 +297,8 @@ def _system_rows(prob: VanishProblem, cols: list):
                         logs = [log_zero if e else x for x, e in zip(logs, coord)]
                 yield logs
 
-    def rows(reps, block_tables, width):
-        for values in reps:
+    def rows(per_point, block_tables, width):
+        for values in per_point:
             for targets, bcs, ks in block_tables:
                 row = [0] * width
                 if spec.m == 1:
@@ -312,12 +312,12 @@ def _system_rows(prob: VanishProblem, cols: list):
     gens = _stabilizer(spec, points) if points else []
     if gens:
         blocks = _blocks(cols[_below(n, M):], tables, gens)
-        reps = list(point_values(_orbit_reps(spec, points, gens)))
+        per_point = list(point_values(_orbit_reps(spec, points, gens)))
     else:
         blocks = [(range(len(cols) - _below(n, M)), tables)]
-        reps = point_values(points)
+        per_point = point_values(points)
     for block, block_tables in blocks:
-        yield block, rows(reps, block_tables, len(block))
+        yield block, rows(per_point, block_tables, len(block))
 
 
 def build_system(prob: VanishProblem) -> LinearSystem:
